@@ -7,6 +7,7 @@ module Deadline = Cpr_deadline.Deadline
 type compiled = {
   prog : Prog.t;
   icbm : Cpr_core.Icbm.region_stats option;
+  outcomes : Cpr_sim.Interp.outcome list option;
 }
 
 let c_regions_formed = Obs.counter "superblock.regions_formed"
@@ -14,6 +15,7 @@ let c_branches_bypassed = Obs.counter "icbm.branches_bypassed"
 let c_comp_ops = Obs.counter "icbm.compensation_ops"
 let c_blocks_transformed = Obs.counter "icbm.blocks_transformed"
 let c_blocks_demoted = Obs.counter "icbm.blocks_demoted"
+let c_profiled = Obs.counter "profile.input_sets"
 
 (* Wrap one pipeline entry point in a span, recording program size on
    the way in and out ("ops in/out per pass").  The counts are only
@@ -49,29 +51,21 @@ let record_icbm before (stats : Cpr_core.Icbm.region_stats) after =
     Obs.add c_branches_bypassed (max 0 (branches before - branches after))
   end
 
-let profile prog inputs =
+(* The outcomes are kept: they are the runs the equivalence oracle
+   compares, so no input set is interpreted twice for the same
+   program. *)
+let profile_outcomes prog inputs =
   Obs.span "profile" (fun () ->
+      Obs.incr c_profiled;
       Prog.clear_profile prog;
-      List.iter
-        (fun input ->
-          let st = Cpr_sim.State.create () in
-          Cpr_sim.State.set_memory st input.Cpr_sim.Equiv.memory;
-          List.iter
-            (fun (r, v) -> Cpr_sim.State.write_gpr st r v)
-            input.Cpr_sim.Equiv.gprs;
-          List.iter
-            (fun (r, v) -> Cpr_sim.State.write_pred st r v)
-            input.Cpr_sim.Equiv.preds;
-          let (_ : Cpr_sim.Interp.outcome) =
-            Cpr_sim.Interp.run ~state:st ~profile:true prog
-          in
-          ())
-        inputs)
+      List.map (Cpr_sim.Equiv.run_on ~profile:true prog) inputs)
+
+let profile prog inputs = ignore (profile_outcomes prog inputs : _ list)
 
 (* Both compiled codes start from the same superblock formation — the
    paper's baseline is "optimized superblock code produced by the IMPACT
    compiler", not the raw region graph. *)
-let prepare prog inputs =
+let prepare_profiled prog inputs =
   Obs.span "pass/prepare" (fun () ->
       (* Program boundary: trim the predicate engine's arena and memo
          tables so a long suite/fuzz run's footprint stays bounded by
@@ -83,8 +77,9 @@ let prepare prog inputs =
       Obs.add c_regions_formed formed;
       let (_ : int) = Cpr_core.Superblock.prune_unreachable p in
       Validate.check_exn p;
-      profile p inputs;
-      p)
+      (p, profile_outcomes p inputs))
+
+let prepare prog inputs = fst (prepare_profiled prog inputs)
 
 (* Static verification of one transformation step: raises
    {!Cpr_verify.Verify.Verify_error} on any error-severity finding.  The
@@ -106,22 +101,25 @@ let verify_stage ?(verify = true) ?verify_time ~stage ~before p =
 
 let baseline ?verify ?verify_time prog inputs =
   with_pass ~stage:"baseline" prog (fun () ->
-      let p = prepare prog inputs in
+      let p, outcomes = prepare_profiled prog inputs in
       Chaos.trip ~stage:"superblock" p;
       verify_stage ?verify ?verify_time ~stage:"superblock" ~before:prog p;
-      { prog = p; icbm = None })
+      { prog = p; icbm = None; outcomes = Some outcomes })
 
-let height_reduce ?heur ?verify ?verify_time prog inputs =
+let height_reduce ?heur ?verify ?verify_time ?prepared prog inputs =
   with_pass ~stage:"icbm" prog (fun () ->
-      let p = prepare prog inputs in
-      let before = Prog.copy p in
+      (* [prepared] is left untouched: the transform runs on a copy. *)
+      let before =
+        match prepared with Some p -> p | None -> prepare prog inputs
+      in
+      let p = Prog.copy before in
       let stats = Cpr_core.Icbm.run ?heur p in
       Chaos.trip ~stage:"icbm" p;
       Validate.check_exn p;
       verify_stage ?verify ?verify_time ~stage:"icbm" ~before p;
-      profile p inputs;
+      let outcomes = profile_outcomes p inputs in
       record_icbm before stats p;
-      { prog = p; icbm = Some stats })
+      { prog = p; icbm = Some stats; outcomes = Some outcomes })
 
 (* Per-stage entry points: each runs one transformation (plus its
    prerequisites) on a prepared copy, re-validates and re-profiles.  The
@@ -137,8 +135,7 @@ let finish ?verify ?verify_time ~stage ~before p inputs =
   Chaos.trip ~stage p;
   Validate.check_exn p;
   verify_stage ?verify ?verify_time ~stage ~before p;
-  profile p inputs;
-  { prog = p; icbm = None }
+  { prog = p; icbm = None; outcomes = Some (profile_outcomes p inputs) }
 
 let superblock_only ?verify ?verify_time prog inputs =
   baseline ?verify ?verify_time prog inputs
@@ -222,16 +219,16 @@ let by_name : string -> entry option = function
 let fallback_compiled prog inputs =
   let p = Prog.copy prog in
   (try profile p inputs with _ -> Prog.clear_profile p);
-  { prog = p; icbm = None }
+  { prog = p; icbm = None; outcomes = None }
 
 let protected ?heur ?verify ?verify_time ?(retries = 1) ?bundle_dir ?machine
-    ~stage prog inputs =
+    ?prepared ~stage prog inputs =
   let run =
     match stage with
     | "icbm" ->
       Some
         (fun ?verify ?verify_time p i ->
-          height_reduce ?heur ?verify ?verify_time p i)
+          height_reduce ?heur ?verify ?verify_time ?prepared p i)
     | "fullcpr" ->
       Some
         (fun ?verify ?verify_time p i ->

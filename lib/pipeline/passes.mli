@@ -12,10 +12,23 @@ open Cpr_ir
 type compiled = {
   prog : Prog.t;
   icbm : Cpr_core.Icbm.region_stats option;  (** None for the baseline *)
+  outcomes : Cpr_sim.Interp.outcome list option;
+      (** the interpreter run of [prog] on each input, in input order,
+          from the profile that produced [prog]'s counts; [None] for
+          {!fallback_compiled}.  The baseline's profile precedes its
+          chaos injection point, so a corruption injected there that
+          the verifier misses still shows as a difference against
+          them. *)
 }
 
+val profile_outcomes :
+  Prog.t -> Cpr_sim.Equiv.input list -> Cpr_sim.Interp.outcome list
+(** Clear and re-record region profiles by interpreting each input;
+    returns the runs, in input order.  Bumps the
+    [profile.input_sets] counter once per call. *)
+
 val profile : Prog.t -> Cpr_sim.Equiv.input list -> unit
-(** Clear and re-record region profiles by interpreting each input. *)
+(** {!profile_outcomes}, discarding the runs. *)
 
 val prepare : Prog.t -> Cpr_sim.Equiv.input list -> Prog.t
 (** Profile a copy, form superblocks along the hot fall-through edges
@@ -41,11 +54,17 @@ val baseline :
     enabled telemetry.  [~verify_time] keeps working either way. *)
 
 val height_reduce :
-  ?heur:Cpr_core.Heur.t -> ?verify:bool -> ?verify_time:float ref -> Prog.t
-  -> Cpr_sim.Equiv.input list -> compiled
+  ?heur:Cpr_core.Heur.t -> ?verify:bool -> ?verify_time:float ref
+  -> ?prepared:Prog.t -> Prog.t -> Cpr_sim.Equiv.input list -> compiled
 (** Full pipeline on a fresh copy: profile, FRP-convert, ICBM, validate,
     re-profile.  Raises [Invalid_argument] if the transformed program
-    fails structural validation. *)
+    fails structural validation.
+
+    [prepared], when given, must be [prepare prog inputs] (for instance
+    the program of a committed {!baseline}); the transform then starts
+    from a copy of it instead of preparing again, and [prepared] itself
+    is not modified.  {!prepare} is deterministic, so the result is the
+    same either way. *)
 
 (** {2 Per-stage entry points}
 
@@ -119,6 +138,7 @@ val protected :
   ?retries:int ->
   ?bundle_dir:string ->
   ?machine:string ->
+  ?prepared:Prog.t ->
   stage:string ->
   Prog.t ->
   Cpr_sim.Equiv.input list ->
@@ -129,5 +149,7 @@ val protected :
     raised exception, with one retry for transient faults (default
     [retries = 1]).  [bundle_dir] additionally writes a replayable
     crash bundle on failure ([machine] is recorded in its metadata;
-    [heur] applies to the [icbm] stage).  Raises [Invalid_argument] on
+    [heur] and [prepared] apply to the [icbm] stage).  The bundle
+    records [prog], never [prepared]: replaying it prepares again,
+    which reproduces [prepared].  Raises [Invalid_argument] on
     an unknown stage name. *)

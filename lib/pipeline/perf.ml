@@ -1,12 +1,20 @@
 open Cpr_ir
 
-let estimate machine prog =
-  let schedules = Cpr_sched.List_sched.schedule_prog machine prog in
-  List.fold_left
-    (fun acc (label, (s : Cpr_sched.Schedule.t)) ->
-      let region = Prog.find_exn prog label in
-      acc + (s.Cpr_sched.Schedule.length * region.Region.entry_count))
-    0 schedules
+(* Liveness is machine-independent: one analysis serves every
+   machine's schedules. *)
+let estimates machines prog =
+  let live = Cpr_analysis.Liveness.analyze prog in
+  List.map
+    (fun (m : Cpr_machine.Descr.t) ->
+      ( m.Cpr_machine.Descr.name,
+        List.fold_left
+          (fun acc (r : Region.t) ->
+            let s = Cpr_sched.List_sched.schedule m prog live r in
+            acc + (s.Cpr_sched.Schedule.length * r.Region.entry_count))
+          0 (Prog.regions prog) ))
+    machines
+
+let estimate machine prog = snd (List.hd (estimates [ machine ] prog))
 
 let estimate_exit_aware machine prog =
   let schedules = Cpr_sched.List_sched.schedule_prog machine prog in

@@ -10,6 +10,10 @@ open Cpr_ir
 val estimate : Cpr_machine.Descr.t -> Prog.t -> int
 (** Paper's estimator: Σ region schedule-length × profiled entry count. *)
 
+val estimates : Cpr_machine.Descr.t list -> Prog.t -> (string * int) list
+(** [(machine name, estimate machine prog)] for each machine, in order,
+    from one liveness analysis of [prog]. *)
+
 val estimate_exit_aware : Cpr_machine.Descr.t -> Prog.t -> int
 (** Ablation refinement: entries leaving through a side exit are charged
     only up to the exit branch's completion, instead of the full region

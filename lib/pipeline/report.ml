@@ -29,32 +29,38 @@ let run ?heur ?(recover = true) ?bundle_dir ~name prog inputs =
   @@ fun () ->
   let t0 = Unix.gettimeofday () in
   let verify_time = ref 0.0 in
-  let stage_p stage =
+  let stage_p ?prepared stage =
     if recover then
-      Passes.protected ?heur ~verify_time ?bundle_dir ~stage prog inputs
+      Passes.protected ?heur ~verify_time ?bundle_dir ?prepared ~stage prog
+        inputs
     else
       Recover.Committed
         (match stage with
-        | "icbm" -> Passes.height_reduce ?heur ~verify_time prog inputs
+        | "icbm" ->
+          Passes.height_reduce ?heur ~verify_time ?prepared prog inputs
         | _ -> Passes.baseline ~verify_time prog inputs)
   in
+  (* One [prepare] per workload: a committed baseline is exactly the
+     program ICBM would prepare for itself.  A fallen-back one is the
+     raw input, so ICBM then prepares its own. *)
   let base_p = stage_p "superblock" in
-  let reduced_p = stage_p "icbm" in
+  let prepared =
+    match base_p with
+    | Recover.Committed b -> Some b.Passes.prog
+    | Recover.Fell_back _ -> None
+  in
+  let reduced_p = stage_p ?prepared "icbm" in
   let base = Recover.value base_p in
   let reduced = Recover.value reduced_p in
+  (* Both profiles already ran every input; compare those runs.  A
+     fallback carries none, so it is run again. *)
   let equivalent =
-    Cpr_sim.Equiv.check_many base.Passes.prog reduced.Passes.prog inputs
+    match (base.Passes.outcomes, reduced.Passes.outcomes) with
+    | Some b, Some r -> Cpr_sim.Equiv.check_outcomes base.Passes.prog b r
+    | _ -> Cpr_sim.Equiv.check_many base.Passes.prog reduced.Passes.prog inputs
   in
-  let baseline_cycles =
-    List.map
-      (fun (m : Descr.t) -> (m.Descr.name, Perf.estimate m base.Passes.prog))
-      Descr.all
-  in
-  let reduced_cycles =
-    List.map
-      (fun (m : Descr.t) -> (m.Descr.name, Perf.estimate m reduced.Passes.prog))
-      Descr.all
-  in
+  let baseline_cycles = Perf.estimates Descr.all base.Passes.prog in
+  let reduced_cycles = Perf.estimates Descr.all reduced.Passes.prog in
   let speedups =
     List.map2
       (fun (mname, b) (_, t) -> (mname, Perf.speedup ~baseline:b ~transformed:t))

@@ -9,12 +9,15 @@ type input = {
 let no_input = { memory = []; gprs = []; preds = [] }
 let input_of_memory memory = { no_input with memory }
 
-let run_on prog input =
+let initial_state input =
   let st = State.create () in
   State.set_memory st input.memory;
   List.iter (fun (r, v) -> State.write_gpr st r v) input.gprs;
   List.iter (fun (r, v) -> State.write_pred st r v) input.preds;
-  Interp.run ~state:st prog
+  st
+
+let run_on ?profile prog input =
+  Interp.run ~state:(initial_state input) ?profile prog
 
 let per_address trace =
   let tbl = Hashtbl.create 64 in
@@ -26,41 +29,49 @@ let per_address trace =
   Hashtbl.fold (fun a vs acc -> (a, List.rev vs) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
+let fail fmt = Format.kasprintf (fun s -> Error s) fmt
+
+let compare_outcomes reference (ref_out : Interp.outcome)
+    (cand_out : Interp.outcome) =
+  let rs = ref_out.Interp.state and cs = cand_out.Interp.state in
+  if ref_out.Interp.exit_label <> cand_out.Interp.exit_label then
+    fail "exit labels differ: %s vs %s"
+      (Option.value ~default:"<end>" ref_out.Interp.exit_label)
+      (Option.value ~default:"<end>" cand_out.Interp.exit_label)
+  else if not (State.same_memory rs cs) then fail "final memories differ"
+  else if
+    (* Identical whole traces have identical per-address sequences; only
+       a difference needs the grouping. *)
+    (not (State.same_store_trace rs cs))
+    && per_address (State.store_trace rs) <> per_address (State.store_trace cs)
+  then fail "store sequences differ"
+  else begin
+    let bad_reg =
+      List.find_opt
+        (fun r ->
+          Reg.is_pred r = false && State.read_gpr rs r <> State.read_gpr cs r)
+        reference.Prog.live_out
+    in
+    match bad_reg with
+    | Some r -> fail "live-out register %s differs" (Reg.to_string r)
+    | None -> Ok ()
+  end
+
 let check reference candidate input =
-  let fail fmt = Format.kasprintf (fun s -> Error s) fmt in
   match (run_on reference input, run_on candidate input) with
   | exception Interp.Stuck msg -> fail "interpreter stuck: %s" msg
-  | ref_out, cand_out ->
-    if ref_out.Interp.exit_label <> cand_out.Interp.exit_label then
-      fail "exit labels differ: %s vs %s"
-        (Option.value ~default:"<end>" ref_out.Interp.exit_label)
-        (Option.value ~default:"<end>" cand_out.Interp.exit_label)
-    else if
-      State.memory_snapshot ref_out.Interp.state
-      <> State.memory_snapshot cand_out.Interp.state
-    then fail "final memories differ"
-    else if
-      per_address (State.store_trace ref_out.Interp.state)
-      <> per_address (State.store_trace cand_out.Interp.state)
-    then fail "store sequences differ"
-    else begin
-      let bad_reg =
-        List.find_opt
-          (fun r ->
-            Reg.is_pred r = false
-            && State.read_gpr ref_out.Interp.state r
-               <> State.read_gpr cand_out.Interp.state r)
-          reference.Prog.live_out
-      in
-      match bad_reg with
-      | Some r -> fail "live-out register %s differs" (Reg.to_string r)
-      | None -> Ok ()
-    end
+  | ref_out, cand_out -> compare_outcomes reference ref_out cand_out
 
 let check_many reference candidate inputs =
   List.fold_left
     (fun acc input -> match acc with Error _ -> acc | Ok () -> check reference candidate input)
     (Ok ()) inputs
+
+let check_outcomes reference ref_outs cand_outs =
+  List.fold_left2
+    (fun acc r c ->
+      match acc with Error _ -> acc | Ok () -> compare_outcomes reference r c)
+    (Ok ()) ref_outs cand_outs
 
 (* ------------------------------------------------------------------ *)
 (* One-line textual input serialization, shared by the fuzz corpus

@@ -25,9 +25,28 @@ val input_of_string : string -> input
 (** Inverse of {!input_to_string}.  Raises [Invalid_argument] or
     [Failure] on malformed text. *)
 
-val run_on : Prog.t -> input -> Interp.outcome
+val initial_state : input -> State.t
+(** A fresh state holding the input's memory and registers. *)
+
+val run_on : ?profile:bool -> Prog.t -> input -> Interp.outcome
+(** {!Interp.run} from {!initial_state}; [profile] as in {!Interp.run}. *)
+
+val compare_outcomes :
+  Prog.t -> Interp.outcome -> Interp.outcome -> (unit, string) result
+(** [compare_outcomes reference ref_out cand_out]: the comparison half
+    of {!check}, on two runs already made ([reference] supplies the
+    live-out registers). *)
 
 val check : Prog.t -> Prog.t -> input -> (unit, string) result
-(** [check reference candidate input] *)
+(** [check reference candidate input]: run both programs on [input] and
+    {!compare_outcomes}; an interpreter that gets stuck is an error. *)
 
 val check_many : Prog.t -> Prog.t -> input list -> (unit, string) result
+(** {!check} on each input in order, stopping at the first error. *)
+
+val check_outcomes :
+  Prog.t -> Interp.outcome list -> Interp.outcome list -> (unit, string) result
+(** [check_outcomes reference ref_outs cand_outs]: {!check_many} on runs
+    already made, one outcome per input on each side, in input order —
+    the same result as {!check_many} on the inputs that produced them.
+    Raises [Invalid_argument] when the lists differ in length. *)

@@ -205,24 +205,15 @@ let check_against_interp machine prog inputs =
       match acc with
       | Error _ -> acc
       | Ok () -> (
-        let mk () =
-          let st = State.create () in
-          State.set_memory st input.Equiv.memory;
-          List.iter (fun (r, v) -> State.write_gpr st r v) input.Equiv.gprs;
-          List.iter (fun (r, v) -> State.write_pred st r v) input.Equiv.preds;
-          st
-        in
-        let reference = Interp.run ~state:(mk ()) prog in
-        match run ~state:(mk ()) machine prog with
+        let reference = Equiv.run_on prog input in
+        match run ~state:(Equiv.initial_state input) machine prog with
         | exception Vliw_error m -> fail "vliw error: %s" m
         | vl ->
           if reference.Interp.exit_label <> vl.exit_label then
             fail "exit labels differ: %s vs %s"
               (Option.value ~default:"<end>" reference.Interp.exit_label)
               (Option.value ~default:"<end>" vl.exit_label)
-          else if
-            State.memory_snapshot reference.Interp.state
-            <> State.memory_snapshot vl.state
+          else if not (State.same_memory reference.Interp.state vl.state)
           then fail "memories differ"
           else Ok ()))
     (Ok ()) inputs

@@ -91,6 +91,81 @@ let baseline_does_not_mutate_input () =
   let (_ : P.Passes.compiled) = P.Passes.height_reduce prog inputs in
   check Alcotest.string "input program untouched" text (Printer.to_text prog)
 
+(* Report.run's former sequence, rebuilt from the public entry points:
+   each stage prepares for itself, the oracle runs both programs on the
+   inputs again, and every estimate analyzes liveness anew.  Seven runs
+   of the input set in all. *)
+let seven_run_report ~name prog inputs =
+  let base = (P.Passes.baseline prog inputs).P.Passes.prog in
+  let reduced = P.Passes.height_reduce prog inputs in
+  let red = reduced.P.Passes.prog in
+  let cycles p =
+    List.map (fun (m : M.t) -> (m.M.name, P.Perf.estimate m p)) M.all
+  in
+  let baseline_cycles = cycles base and reduced_cycles = cycles red in
+  let bound_cycles = P.Perf.bound_estimate M.medium red in
+  let achieved_cycles = List.assoc M.medium.M.name reduced_cycles in
+  let s_tot, s_br, d_tot, d_br =
+    Stats_ir.ratio (Stats_ir.of_prog red) (Stats_ir.of_prog base)
+  in
+  {
+    P.Report.name;
+    speedups =
+      List.map2
+        (fun (m, b) (_, t) -> (m, P.Perf.speedup ~baseline:b ~transformed:t))
+        baseline_cycles reduced_cycles;
+    s_tot;
+    s_br;
+    d_tot;
+    d_br;
+    baseline_cycles;
+    reduced_cycles;
+    icbm = Option.get reduced.P.Passes.icbm;
+    equivalent = Cpr_sim.Equiv.check_many base red inputs;
+    failures = [];
+    bound_cycles;
+    achieved_cycles;
+    height_gap =
+      (if bound_cycles = 0 then 0.
+       else
+         float_of_int (achieved_cycles - bound_cycles)
+         /. float_of_int bound_cycles);
+    pressure =
+      List.map
+        (fun (cls, v) -> (Cpr_verify.Pressurecheck.cls_name cls, v))
+        (Cpr_verify.Pressurecheck.summary ~machine:M.medium red);
+    verify_s = 0.;
+    total_s = 0.;
+  }
+
+let report_matches_seven_runs () =
+  List.iter
+    (fun (w : Cpr_workloads.Workload.t) ->
+      let name = w.Cpr_workloads.Workload.name in
+      let prog = w.Cpr_workloads.Workload.build () in
+      let inputs = w.Cpr_workloads.Workload.inputs () in
+      let old = seven_run_report ~name prog inputs in
+      let r = P.Report.run ~name prog inputs in
+      checkb (name ^ ": every non-timing field equal") true
+        (old = { r with P.Report.verify_s = 0.; total_s = 0. }))
+    Cpr_workloads.Registry.all
+
+let report_runs_inputs_three_times () =
+  let module Obs = Cpr_obs.Obs in
+  let w = Option.get (Cpr_workloads.Registry.find "strcpy") in
+  let prog = w.Cpr_workloads.Workload.build () in
+  let inputs = w.Cpr_workloads.Workload.inputs () in
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Obs.reset ();
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled was)
+    (fun () ->
+      let r = P.Report.run ~name:"strcpy" prog inputs in
+      checkb "committed" false (P.Report.degraded r);
+      checki "baseline profile x2, ICBM re-profile x1" 3
+        (Obs.counter_value (Obs.counter "profile.input_sets")))
+
 let suite =
   ( "pipeline & report",
     [
@@ -101,4 +176,7 @@ let suite =
       case "report shape (strcpy facts)" report_shape;
       case "profile re-records" profile_rerecords;
       case "pipeline copies its input" baseline_does_not_mutate_input;
+      case "report = the seven-run sequence, all workloads"
+        report_matches_seven_runs;
+      case "report runs the input set 3 times" report_runs_inputs_three_times;
     ] )

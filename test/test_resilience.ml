@@ -214,6 +214,93 @@ let bundle_via_protected () =
     Alcotest.fail "corrupting fault must degrade the icbm stage"
 
 (* ------------------------------------------------------------------ *)
+(* Report.run: one prepare, equivalence from the profiling runs        *)
+
+let strcpy_workload () =
+  let w = Option.get (Cpr_workloads.Registry.find "strcpy") in
+  (w.Cpr_workloads.Workload.build (), w.Cpr_workloads.Workload.inputs ())
+
+let report_under stage prog inputs =
+  Chaos.arm ~stage Chaos.Corrupt;
+  Fun.protect ~finally:Chaos.disarm (fun () ->
+      P.Report.run ~name:"chaos" prog inputs)
+
+let failed_stages (r : P.Report.result) =
+  List.map (fun f -> f.Recover.stage) r.P.Report.failures
+
+(* A fallen-back baseline is the raw program, so ICBM prepares its own —
+   and builds the very program a clean run builds from the copy.  On
+   this generated program the verifier rejects the superblock stage's
+   corruption (a dropped predicate definition). *)
+let report_superblock_fault () =
+  let prog = Cpr_workloads.Gen.prog_of_seed 90 in
+  let inputs = Cpr_workloads.Gen.inputs_of_seed 90 in
+  let clean = P.Report.run ~name:"gen-90" prog inputs in
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Obs.reset ();
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Obs.set_enabled was)
+      (fun () -> report_under "superblock" prog inputs)
+  in
+  check Alcotest.(list string) "baseline fell back" [ "superblock" ]
+    (failed_stages r);
+  (* baseline prepare 2 + its fallback 1 + ICBM's own prepare 2 + ICBM
+     re-profile 1 *)
+  checki "icbm prepared for itself" 6
+    (Obs.counter_value (Obs.counter "profile.input_sets"));
+  checkb "icbm transformed" true
+    (r.P.Report.icbm.Cpr_core.Icbm.blocks_transformed > 0);
+  checkb "icbm output as in a clean run" true
+    (r.P.Report.icbm = clean.P.Report.icbm
+    && r.P.Report.reduced_cycles = clean.P.Report.reduced_cycles);
+  checkb "equivalent (check_many against the fallback)" true
+    (r.P.Report.equivalent = Ok ())
+
+(* ICBM starting from the baseline's copy falls back; the fallback has
+   no profiling runs, so equivalence must run both programs again. *)
+let report_icbm_fault () =
+  let prog, inputs = strcpy_workload () in
+  let base = P.Passes.baseline prog inputs in
+  Chaos.arm ~stage:"icbm" Chaos.Corrupt;
+  (match
+     Fun.protect ~finally:Chaos.disarm (fun () ->
+         P.Passes.protected ~prepared:base.P.Passes.prog ~stage:"icbm" prog
+           inputs)
+   with
+  | Recover.Fell_back (c, _) ->
+    checkb "fallback carries no outcomes" true (c.P.Passes.outcomes = None)
+  | Recover.Committed _ -> Alcotest.fail "corrupted icbm must fall back");
+  let r = report_under "icbm" prog inputs in
+  check Alcotest.(list string) "icbm fell back" [ "icbm" ] (failed_stages r);
+  checkb "no icbm stats" true (r.P.Report.icbm = Cpr_core.Icbm.zero_stats);
+  checkb "equivalent (check_many)" true (r.P.Report.equivalent = Ok ())
+
+(* The bundle records the raw program; replaying it prepares afresh and
+   must hit the failure the copy-started ICBM hit. *)
+let report_icbm_bundle_replays () =
+  let prog, inputs = strcpy_workload () in
+  let dir = fresh_dir "cpr-bundle-copy" in
+  Chaos.arm ~stage:"icbm" Chaos.Corrupt;
+  Fun.protect ~finally:Chaos.disarm (fun () ->
+      let r = P.Report.run ~bundle_dir:dir ~name:"strcpy" prog inputs in
+      match r.P.Report.failures with
+      | [ ({ Recover.bundle = Some bdir; _ } as f) ] -> (
+        match F.Corpus.load (Bundle.input_file bdir) with
+        | Error msg -> Alcotest.failf "bundle not loadable: %s" msg
+        | Ok entry -> (
+          match
+            P.Passes.protected ~stage:entry.F.Corpus.stage entry.F.Corpus.prog
+              entry.F.Corpus.inputs
+          with
+          | Recover.Fell_back (_, f') ->
+            check Alcotest.string "same failure" f.Recover.reason
+              f'.Recover.reason
+          | Recover.Committed _ -> Alcotest.fail "replay must fail again"))
+      | _ -> Alcotest.fail "one bundled icbm failure expected")
+
+(* ------------------------------------------------------------------ *)
 (* Pool watchdog                                                       *)
 
 let pool_deadline_trips () =
@@ -451,6 +538,10 @@ let suite =
       case "recover: fallback/retry counters" recover_counters;
       case "bundle: corpus-format round-trip, idempotent id" bundle_roundtrip;
       case "bundle: written by the protected pipeline" bundle_via_protected;
+      case "report: superblock fault, icbm prepares its own"
+        report_superblock_fault;
+      case "report: icbm fault falls back to check_many" report_icbm_fault;
+      case "report: copy-started icbm bundle replays" report_icbm_bundle_replays;
       case "pool: watchdog trips an overlong task" pool_deadline_trips;
       case "pool: budget leaves fast tasks alone" pool_budget_clean_path;
       case "sched: poisoned token unwinds the scheduler" sched_budget_trips;
