@@ -3,10 +3,11 @@
    Two roles, mirroring the deliverables:
 
    1. Reproduce the paper's evaluation artifacts: Table 1 (cmpp
-      semantics), Table 2 (speedups per benchmark across the five
-      processors), Table 3 (static/dynamic op-count ratios on the medium
-      processor), and the Section 6 / Figures 6-7 strcpy walk-through
-      numbers.  These are printed as the paper formats them.
+      semantics), the machines' register files, Table 2 (speedups per
+      benchmark across the five processors), Table 3 (static/dynamic
+      op-count ratios on the medium processor), and the Section 6 /
+      Figures 6-7 strcpy walk-through numbers.  These are printed as
+      the paper formats them.
 
    2. Bechamel micro-benchmarks of the compiler itself — one Test.make
       per table plus one per major pass — reporting ns/run for the
@@ -166,6 +167,20 @@ let run_suite ?(quiet = false) ~domains () =
           (if P.Report.degraded r then ", DEGRADED" else ""))
       results;
   results
+
+(* The machine family: issue widths from the paper, register-file sizes
+   from our HPL-PD-flavoured extension (the budgets `lint --pressure`
+   checks MAXLIVE against). *)
+let print_machines () =
+  Format.printf "@.Machine register files (gpr/pred/btr per class)@.@.";
+  Format.printf "%-14s%8s%8s%8s@." "Machine" "gpr" "pred" "btr";
+  List.iter
+    (fun (m : Cpr_machine.Descr.t) ->
+      Format.printf "%-14s%8d%8d%8d@." m.Cpr_machine.Descr.name
+        (Cpr_machine.Descr.regfile_size m Reg.Gpr)
+        (Cpr_machine.Descr.regfile_size m Reg.Pred)
+        (Cpr_machine.Descr.regfile_size m Reg.Btr))
+    Cpr_machine.Descr.all
 
 let print_table2 results =
   Format.printf
@@ -545,16 +560,11 @@ let pqs_counter_names =
     "pqs.interned";
     "pqs.memo_hits";
     "pqs.memo_misses";
-    (* Height-analysis telemetry rides in the same counters object:
-       bound queries answered, and CPR candidates the profitability
-       gate skipped (0 unless a run opts into Heur.height_gate). *)
+    (* Height- and pressure-analysis telemetry rides in the same
+       counters object: bound queries answered, disjointness queries
+       issued. *)
     "height.bound_queries";
-    "height.candidates_skipped";
-    (* Register-pressure telemetry, same arrangement: disjointness
-       queries the analyzer issued, and CPR candidates the pressure
-       gate skipped (0 unless a run opts into Heur.pressure_gate). *)
     "pressure.queries";
-    "pressure.candidates_skipped";
   ]
 
 let write_json ~dated ~latest results micro par =
@@ -718,6 +728,7 @@ let () =
     if micro_only then []
     else begin
       print_table1 ();
+      print_machines ();
       let results = Obs.span "bench/suite" (fun () -> run_suite ~domains ()) in
       let verify_total, suite_total = P.Bench_io.suite_seconds results in
       Format.printf

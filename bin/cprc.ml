@@ -78,47 +78,39 @@ let show_cmd spec phase =
   print_string (Printer.to_text prog);
   0
 
-(* The pipeline subcommand runs both compilations sandboxed: a pass
-   failure degrades to the verified pre-pass IR (with a crash bundle
-   quarantined under _crash/) and the numbers below measure the
-   fallback; exit code 3 says so. *)
+(* The pipeline subcommand is one Report.run: both compilations run
+   sandboxed, so a pass failure degrades to the verified pre-pass IR
+   (with a crash bundle quarantined under _crash/) and the numbers below
+   measure the fallback; exit code 3 says so. *)
 let run_cmd spec =
   let prog, inputs = load_program spec in
-  let failures = ref [] in
-  let protected stage =
-    match
-      P.Passes.protected ~bundle_dir:Cpr_resilience.Bundle.default_dir ~stage
-        prog inputs
-    with
-    | Cpr_resilience.Recover.Committed c -> c
-    | Cpr_resilience.Recover.Fell_back (c, f) ->
-      failures := f :: !failures;
-      Format.eprintf "DEGRADED: %a@." Cpr_resilience.Recover.pp_failure f;
-      c
+  let r, sb, sr =
+    P.Report.run_with_stats ~bundle_dir:Cpr_resilience.Bundle.default_dir
+      ~name:spec prog inputs
   in
-  let base = protected "superblock" in
-  let reduced = protected "icbm" in
-  (match reduced.P.Passes.icbm with
-  | Some s -> Format.printf "icbm: %a@." Cpr_core.Icbm.pp_stats s
-  | None -> ());
-  (match
-     Cpr_sim.Equiv.check_many base.P.Passes.prog reduced.P.Passes.prog inputs
-   with
+  List.iter
+    (fun f -> Format.eprintf "DEGRADED: %a@." Cpr_resilience.Recover.pp_failure f)
+    r.P.Report.failures;
+  if
+    not
+      (List.exists
+         (fun (f : Cpr_resilience.Recover.failure) -> f.stage = "icbm")
+         r.P.Report.failures)
+  then Format.printf "icbm: %a@." Cpr_core.Icbm.pp_stats r.P.Report.icbm;
+  (match r.P.Report.equivalent with
   | Ok () -> Format.printf "baseline and height-reduced code are equivalent@."
   | Error e -> Format.printf "EQUIVALENCE FAILURE: %s@." e);
-  let sb = Stats_ir.of_prog base.P.Passes.prog in
-  let sr = Stats_ir.of_prog reduced.P.Passes.prog in
   Format.printf "baseline:       %a@." Stats_ir.pp sb;
   Format.printf "height-reduced: %a@." Stats_ir.pp sr;
   Format.printf "%-6s%12s%12s%10s@." "mach" "base cyc" "cpr cyc" "speedup";
   List.iter
-    (fun (m : Cpr_machine.Descr.t) ->
-      let b = P.Perf.estimate m base.P.Passes.prog in
-      let t = P.Perf.estimate m reduced.P.Passes.prog in
-      Format.printf "%-6s%12d%12d%10.3f@." m.Cpr_machine.Descr.name b t
-        (P.Perf.speedup ~baseline:b ~transformed:t))
-    Cpr_machine.Descr.all;
-  if !failures = [] then 0 else 3
+    (fun (m, s) ->
+      Format.printf "%-6s%12d%12d%10.3f@." m
+        (List.assoc m r.P.Report.baseline_cycles)
+        (List.assoc m r.P.Report.reduced_cycles)
+        s)
+    r.P.Report.speedups;
+  if P.Report.degraded r then 3 else 0
 
 let schedule_cmd spec machine region cpr =
   let prog, inputs = load_program spec in

@@ -44,33 +44,9 @@ let frp_chain (region : Region.t) =
   in
   chain None [] (Region.branches region)
 
-let c_pressure_skipped = Cpr_obs.Obs.counter "pressure.candidates_skipped"
-
-(* Full CPR mints one fresh taken-predicate per branch of the chain, all
-   live from the region top to their branch.  Behind [Heur.pressure_gate]
-   the region is skipped when that delta would push the predicate file
-   (predicate-aware MAXLIVE, medium-machine budget) past capacity less
-   [pressure_margin] — the same criterion {!Icbm.pressure_gate} applies
-   per block. *)
-let pressure_fits heur prog region ~n =
-  (not heur.Heur.pressure_gate)
-  ||
-  let liveness = Cpr_analysis.Liveness.analyze prog in
-  let p = Cpr_analysis.Pressure.sweep liveness prog region in
-  let budget =
-    Cpr_machine.Descr.regfile_size Cpr_machine.Descr.medium Reg.Pred
-    - heur.Heur.pressure_margin
-  in
-  let fits = Cpr_analysis.Pressure.maxlive p Reg.Pred + n <= budget in
-  if not fits then Cpr_obs.Obs.incr c_pressure_skipped;
-  fits
-
-let transform_region ?(heur = Heur.default) (prog : Prog.t) (region : Region.t)
-    =
+let transform_region (prog : Prog.t) (region : Region.t) =
   match frp_chain region with
   | None | Some ([] | [ _ ]) -> false
-  | Some pairs when not (pressure_fits heur prog region ~n:(List.length pairs))
-    -> false
   | Some pairs ->
     let n = List.length pairs in
     (* one fresh taken-predicate per branch, wired-and initialized true *)

@@ -3,10 +3,6 @@ type t = {
   predict_taken_threshold : float;
   max_block_branches : int;
   hot_region_fraction : float;
-  height_gate : bool;
-  height_slack_min : int;
-  pressure_gate : bool;
-  pressure_margin : int;
 }
 
 let default =
@@ -15,14 +11,6 @@ let default =
     predict_taken_threshold = 0.60;
     max_block_branches = 16;
     hot_region_fraction = 0.001;
-    (* Off by default: the paper's heuristics are profile-only, and the
-       published numbers (Table 2) are reproduced without the gate. *)
-    height_gate = false;
-    height_slack_min = 1;
-    (* Off by default for the same reason as [height_gate]: Table 2 is
-       reproduced without it, and the paper's cost model is cycles-only. *)
-    pressure_gate = false;
-    pressure_margin = 2;
   }
 
 (* Section 7: "the further development of distinct heuristics for each

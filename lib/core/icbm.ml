@@ -1,7 +1,6 @@
 open Cpr_ir
 module Depgraph = Cpr_analysis.Depgraph
 module Liveness = Cpr_analysis.Liveness
-module Obs = Cpr_obs.Obs
 
 type region_stats = {
   blocks_formed : int;
@@ -139,23 +138,12 @@ let block_legal liveness (region : Region.t) graph ops
     let hazard_edge =
       List.exists
         (fun (e : Depgraph.edge) ->
-          let hit =
-            in_move.(e.Depgraph.src)
-            && (not in_move.(e.Depgraph.dst))
-            && e.Depgraph.dst <= last_branch
-            && not (skip e)
-          in
-          if hit && Sys.getenv_opt "CPR_DEBUG_LEGAL" <> None then
-            Format.eprintf "  hazard edge %d -> %d@."
-              ops.(e.Depgraph.src).Op.id ops.(e.Depgraph.dst).Op.id;
-          hit)
+          in_move.(e.Depgraph.src)
+          && (not in_move.(e.Depgraph.dst))
+          && e.Depgraph.dst <= last_branch
+          && not (skip e))
         (Depgraph.edges graph)
     in
-    (if Sys.getenv_opt "CPR_DEBUG_LEGAL" <> None then
-       Format.eprintf "block last_branch=%d moveset=[%s]@." last_branch
-         (String.concat ","
-            (List.filteri (fun i _ -> in_move.(i)) (List.init n Fun.id)
-            |> List.map (fun i -> string_of_int ops.(i).Op.id))));
     let substitutable i =
       match ops.(i).Op.guard with
       | Op.True -> true
@@ -204,12 +192,7 @@ let block_legal liveness (region : Region.t) graph ops
     let mark i =
       if in_move.(i) && not needed.(i) then begin
         needed.(i) <- true;
-        if not (splittable i) then begin
-          if Sys.getenv_opt "CPR_DEBUG_LEGAL" <> None then
-            Format.eprintf "  unsplittable needed: %a@." Op.pp ops.(i);
-          bad := true
-        end
-        else Queue.add i work
+        if not (splittable i) then bad := true else Queue.add i work
       end
     in
     for i = 0 to n - 1 do
@@ -259,25 +242,6 @@ let block_legal liveness (region : Region.t) graph ops
           | _ -> ())
         (Depgraph.preds graph m)
     done;
-    (if Sys.getenv_opt "CPR_DEBUG_LEGAL" <> None then
-       if hazard_edge || !bad then begin
-         Format.eprintf "DEMOTE block (branches %s): hazard=%b bad_split=%b@."
-           (String.concat ","
-              (List.map string_of_int block.Restructure.branch_ids))
-           hazard_edge !bad;
-         if hazard_edge then
-           List.iter
-             (fun (e : Depgraph.edge) ->
-               if
-                 in_move.(e.Depgraph.src)
-                 && (not in_move.(e.Depgraph.dst))
-                 && e.Depgraph.dst <= last_branch
-                 && not (skip e)
-               then
-                 Format.eprintf "  hazard: %d -> %d@." ops.(e.Depgraph.src).Op.id
-                   ops.(e.Depgraph.dst).Op.id)
-             (Depgraph.edges graph)
-       end);
     (not hazard_edge) && not !bad
   end
 
@@ -312,13 +276,6 @@ let transform_region_with_blocks prog (region : Region.t) block_refs =
     (fun block ->
       if not !stopped then begin
         let plan = Restructure.transform_block prog region ~subst block in
-        if Sys.getenv_opt "CPR_DEBUG_OFFTRACE" <> None then
-          Format.eprintf "plan: bypass=%d comp=%s compares=[%s] branches=[%s]@."
-            plan.Restructure.bypass_id plan.Restructure.comp_label
-            (String.concat ","
-               (List.map string_of_int block.Restructure.compare_ids))
-            (String.concat ","
-               (List.map string_of_int block.Restructure.branch_ids));
         plans := plan :: !plans;
         if block.Restructure.taken_variation then stopped := true
       end)
@@ -347,91 +304,14 @@ let transform_region_with_blocks prog (region : Region.t) block_refs =
     { zero_stats with blocks_formed = List.length block_refs }
     plans
 
-(* Profitability gate (behind [Heur.height_gate]): a CPR block whose
-   branches all sit off the region's critical path with at least
-   [height_slack_min] cycles of slack cannot shorten the schedule —
-   dependence height is set elsewhere — so bypassing it would buy
-   compensation code and no cycles.  Slack is measured on the same
-   medium-machine graph the legality check uses; the pre/post-CPR
-   height estimate is one {!Height.summarize} per gated region (the
-   post-CPR dependence height of a skipped block's region is by
-   definition unchanged). *)
-let c_candidates_skipped = Obs.counter "height.candidates_skipped"
-
-let height_gate heur graph ops refs =
-  if not heur.Heur.height_gate || refs = [] then refs
-  else begin
-    let (_ : Cpr_analysis.Height.summary) =
-      Cpr_analysis.Height.summarize Cpr_machine.Descr.medium graph
-    in
-    let slack = Cpr_analysis.Height.slack graph in
-    let idx_of_id id =
-      let found = ref (-1) in
-      Array.iteri (fun i (o : Op.t) -> if o.Op.id = id then found := i) ops;
-      !found
-    in
-    let on_critical_path (b : Restructure.block_ref) =
-      List.exists
-        (fun id ->
-          let i = idx_of_id id in
-          i >= 0 && slack.(i) < heur.Heur.height_slack_min)
-        b.Restructure.branch_ids
-    in
-    let keep, skipped = List.partition on_critical_path refs in
-    Obs.add c_candidates_skipped (List.length skipped);
-    keep
-  end
-
-(* Resource gate (behind [Heur.pressure_gate]): bypassing a CPR block
-   mints two fresh FRPs (p_on/p_off in {!Restructure.transform_block})
-   and, except for taken-variation blocks, one btr for the bypass pbr —
-   and the bypass lengthens live ranges across the block.  When the
-   region's predicted MAXLIVE (predicate-aware {!Pressure.sweep}) plus
-   the cumulative delta of the blocks kept so far would not leave
-   [pressure_margin] registers of headroom in the register file, the
-   block is skipped: an unallocatable region costs spills the paper's
-   cycles-only model never sees.  Like the height gate, budgets are
-   measured on the medium machine. *)
-let c_pressure_skipped = Obs.counter "pressure.candidates_skipped"
-
-let pressure_gate heur prog liveness (region : Region.t) refs =
-  if not heur.Heur.pressure_gate || refs = [] then refs
-  else begin
-    let p = Cpr_analysis.Pressure.sweep liveness prog region in
-    let m = Cpr_machine.Descr.medium in
-    let budget cls =
-      Cpr_machine.Descr.regfile_size m cls - heur.Heur.pressure_margin
-    in
-    (* CPR mints no fresh GPRs, but longer ranges leave no room to spare
-       in a region already at the GPR budget. *)
-    let gpr_ok = Cpr_analysis.Pressure.maxlive p Reg.Gpr <= budget Reg.Gpr in
-    let pred_live = Cpr_analysis.Pressure.maxlive p Reg.Pred in
-    let btr_live = Cpr_analysis.Pressure.maxlive p Reg.Btr in
-    let kept = ref 0 in
-    let keep, skipped =
-      List.partition
-        (fun (_ : Restructure.block_ref) ->
-          let fits =
-            gpr_ok
-            && pred_live + (2 * (!kept + 1)) <= budget Reg.Pred
-            && btr_live + !kept + 1 <= budget Reg.Btr
-          in
-          if fits then incr kept;
-          fits)
-        refs
-    in
-    Obs.add c_pressure_skipped (List.length skipped);
-    keep
-  end
-
 let transform_region heur prog liveness (region : Region.t) =
   let blocks = Match_blocks.run heur prog liveness region in
   let ops = Array.of_list region.Region.ops in
   let graph = Depgraph.build Cpr_machine.Descr.medium prog liveness region in
-  let refs = height_gate heur graph ops (to_block_refs ops blocks) in
-  let refs = pressure_gate heur prog liveness region refs in
   let legal, demoted =
-    List.partition (fun b -> block_legal liveness region graph ops b) refs
+    List.partition
+      (fun b -> block_legal liveness region graph ops b)
+      (to_block_refs ops blocks)
   in
   let stats = transform_region_with_blocks prog region legal in
   {

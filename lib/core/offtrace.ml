@@ -205,22 +205,7 @@ let apply (prog : Prog.t) (region : Region.t) (plan : Restructure.plan) =
     end
   in
   for i = 0 to n - 1 do
-    if in_move.(i) && needed_on_trace i then begin
-      if Sys.getenv_opt "CPR_DEBUG_OFFTRACE" <> None then
-        Format.eprintf
-          "needed %d idx=%d bypass_pos=%d taken=%b (%s): store=%b staying_use=[%s] live=%b@."
-          ops.(i).Op.id i bypass_pos taken_var plan.Restructure.comp_label (Op.is_store ops.(i))
-          (String.concat ","
-             (List.filter_map
-                (fun j ->
-                  if not in_move.(j) then Some (string_of_int ops.(j).Op.id)
-                  else None)
-                uses_of.(i)))
-          (List.exists
-             (fun d -> Reg.Set.mem d live_exposed.(i + 1))
-             (Op.defs ops.(i)));
-      mark i
-    end
+    if in_move.(i) && needed_on_trace i then mark i
   done;
   (* Close the split set over inputs: the on-trace copy of a split op
      reads its sources (and its guard, unless substituted) on trace, so a
@@ -308,19 +293,6 @@ let apply (prog : Prog.t) (region : Region.t) (plan : Restructure.plan) =
       end
     done
   done;
-  (if Sys.getenv_opt "CPR_DEBUG_OFFTRACE" <> None then
-     Array.iteri
-       (fun i (op : Op.t) ->
-         if Op.is_pbr op && not in_move.(i) then
-           Format.eprintf "pbr %d stays: uses=[%s] in_move=[%s] split=[%s] live=%b@."
-             op.Op.id
-             (String.concat "," (List.map string_of_int uses_of.(i)))
-             (String.concat ","
-                (List.map (fun j -> string_of_bool in_move.(j)) uses_of.(i)))
-             (String.concat ","
-                (List.map (fun j -> string_of_bool is_split.(j)) uses_of.(i)))
-             (List.exists (fun d -> Reg.Set.mem d live_on_trace) op.Op.dests))
-       ops);
   (* Rebuild the on-trace op list and fill the compensation region. *)
   let comp = Prog.find_exn prog plan.Restructure.comp_label in
   comp.Region.ops <-

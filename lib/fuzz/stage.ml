@@ -10,69 +10,41 @@ type t = {
 (* The driver verifies candidates itself (when asked to), with the
    findings routed into its outcome accounting — so the Passes-internal
    verification is off in every [apply] below. *)
-let compiled f prog inputs = (f prog inputs).P.Passes.prog
+let of_pass (st : P.Passes.stage) =
+  {
+    name = st.P.Passes.name;
+    descr = st.P.Passes.descr;
+    apply =
+      (fun prog inputs ->
+        (P.Passes.run ~verify:false st prog inputs).P.Passes.prog);
+  }
 
 (* The end-to-end combination: if-conversion and unrolling upstream of
-   ICBM, the way a production pipeline would compose them. *)
+   ICBM, the way a production pipeline would compose them, each step
+   the stage table's own transform. *)
 let full_pipeline prog inputs =
   let p = P.Passes.prepare prog inputs in
-  let (_ : Cpr_core.Ifconv.stats) = Cpr_core.Ifconv.convert p in
-  List.iter
-    (fun (r : Region.t) ->
-      if Cpr_core.Unroll.unrollable p r then
-        ignore (Cpr_core.Unroll.unroll_region p r ~factor:2 : bool))
-    (Prog.regions p);
+  let step name =
+    let st = Option.get (P.Passes.find_stage name) in
+    ignore (st.P.Passes.transform Cpr_core.Heur.default p : _ option)
+  in
+  step "ifconv";
+  step "unroll";
   P.Passes.profile p inputs;
-  if Sys.getenv_opt "CPR_DEBUG_FULLPIPE" <> None then
-    prerr_string (Printer.to_text p);
-  let (_ : Cpr_core.Icbm.region_stats) = Cpr_core.Icbm.run p in
+  step "icbm";
   Validate.check_exn p;
   P.Passes.profile p inputs;
   p
 
 let all =
-  [
-    {
-      name = "superblock";
-      descr = "profile-guided superblock formation (tail duplication)";
-      apply = compiled (P.Passes.superblock_only ~verify:false);
-    };
-    {
-      name = "ifconv";
-      descr = "classic if-conversion of unbiased side exits";
-      apply = compiled (P.Passes.if_convert ~verify:false);
-    };
-    {
-      name = "frp";
-      descr = "fully-resolved-predicate conversion";
-      apply = compiled (P.Passes.frp_convert ~verify:false);
-    };
-    {
-      name = "spec";
-      descr = "FRP conversion + predicate speculation";
-      apply = compiled (P.Passes.speculate ~verify:false);
-    };
-    {
-      name = "unroll";
-      descr = "superblock loop unrolling (factor 2)";
-      apply = compiled (fun p i -> P.Passes.unroll ~verify:false p i);
-    };
-    {
-      name = "fullcpr";
-      descr = "full (redundant) CPR after Schlansker & Kathail";
-      apply = compiled (P.Passes.full_cpr ~verify:false);
-    };
-    {
-      name = "icbm";
-      descr = "the ICBM schema (speculate, match, restructure, off-trace)";
-      apply = compiled (fun p i -> P.Passes.height_reduce ~verify:false p i);
-    };
-    {
-      name = "fullpipe";
-      descr = "if-conversion + unrolling + ICBM, end to end";
-      apply = full_pipeline;
-    };
-  ]
+  List.map of_pass P.Passes.stages
+  @ [
+      {
+        name = "fullpipe";
+        descr = "if-conversion + unrolling + ICBM, end to end";
+        apply = full_pipeline;
+      };
+    ]
 
 let find name = List.find_opt (fun s -> s.name = name) all
 let names = String.concat "," (List.map (fun s -> s.name) all)

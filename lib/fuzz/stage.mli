@@ -16,8 +16,10 @@ type t = {
 }
 
 val all : t list
-(** [superblock], [ifconv], [frp], [spec], [unroll], [fullcpr], [icbm],
-    [fullpipe] — in dependency order. *)
+(** One stage per row of {!Cpr_pipeline.Passes.stages} ([superblock],
+    [ifconv], [frp], [spec], [unroll], [fullcpr], [icbm]), run without
+    the pipeline's own verification, then [fullpipe]: the table's
+    [ifconv], [unroll] and [icbm] transforms composed end to end. *)
 
 val find : string -> t option
 

@@ -206,9 +206,9 @@ module Summary = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Chrome trace                                                        *)
+(* JSON: the one string escaper, and a small but complete reader       *)
 
-module Trace = struct
+module Json = struct
   let escape s =
     let b = Buffer.create (String.length s + 2) in
     String.iter
@@ -222,81 +222,17 @@ module Trace = struct
       s;
     Buffer.contents b
 
-  let us_of ns = Int64.to_float (Int64.sub ns !epoch) /. 1e3
-
-  let to_string () =
-    let es = events () in
-    let b = Buffer.create 4096 in
-    let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-    let sep = ref "" in
-    let entry fmt =
-      Buffer.add_string b !sep;
-      sep := ",\n";
-      add fmt
-    in
-    add "{\"traceEvents\":[\n";
-    entry
-      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"cpr\"}}";
-    List.iter
-      (fun t ->
-        entry
-          "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"args\":{\"name\":\"domain-%d\"}}"
-          t t)
-      (List.sort_uniq compare (List.map (fun e -> e.track) es));
-    let end_us = ref 0.0 in
-    List.iter
-      (fun e ->
-        let ts = us_of e.start_ns in
-        let dur = Int64.to_float e.dur_ns /. 1e3 in
-        end_us := Float.max !end_us (ts +. dur);
-        entry
-          "{\"name\":\"%s\",\"cat\":\"cpr\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%d"
-          (escape e.name) ts dur e.track;
-        if e.args <> [] then begin
-          add ",\"args\":{";
-          List.iteri
-            (fun i (k, v) ->
-              add "%s\"%s\":\"%s\""
-                (if i = 0 then "" else ",")
-                (escape k) (escape v))
-            e.args;
-          add "}"
-        end;
-        add "}")
-      es;
-    List.iter
-      (fun (n, v) ->
-        entry
-          "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":0,\"args\":{\"value\":%d}}"
-          (escape n) !end_us v)
-      (counters ());
-    List.iter
-      (fun (n, v) ->
-        entry
-          "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":0,\"args\":{\"value\":%.6f}}"
-          (escape n) !end_us v)
-      (gauges ());
-    add "\n]}\n";
-    Buffer.contents b
-
-  let export ~path =
-    let oc = open_out path in
-    output_string oc (to_string ());
-    close_out oc
-
-  (* --- a small but complete JSON reader, for the round-trip test --- *)
-
-  type json =
+  type t =
     | Null
     | Bool of bool
     | Num of float
     | Str of string
-    | Arr of json list
-    | Obj of (string * json) list
+    | Arr of t list
+    | Obj of (string * t) list
 
   exception Bad of string
 
-  let parse_json s =
+  let parse_exn s =
     let n = String.length s in
     let pos = ref 0 in
     let peek () = if !pos < n then Some s.[!pos] else None in
@@ -361,6 +297,7 @@ module Trace = struct
             | None -> fail "bad \\u escape");
             go ()
           | _ -> fail "bad escape")
+        | Some c when Char.code c < 0x20 -> fail "unescaped control character"
         | Some c ->
           advance ();
           Buffer.add_char b c;
@@ -445,6 +382,75 @@ module Trace = struct
     if !pos <> n then fail "trailing garbage";
     v
 
+  let parse s = try Ok (parse_exn s) with Bad msg -> Error msg
+end
+
+(* ------------------------------------------------------------------ *)
+(* Chrome trace                                                        *)
+
+module Trace = struct
+  let us_of ns = Int64.to_float (Int64.sub ns !epoch) /. 1e3
+
+  let to_string () =
+    let es = events () in
+    let b = Buffer.create 4096 in
+    let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+    let sep = ref "" in
+    let entry fmt =
+      Buffer.add_string b !sep;
+      sep := ",\n";
+      add fmt
+    in
+    add "{\"traceEvents\":[\n";
+    entry
+      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"cpr\"}}";
+    List.iter
+      (fun t ->
+        entry
+          "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"args\":{\"name\":\"domain-%d\"}}"
+          t t)
+      (List.sort_uniq compare (List.map (fun e -> e.track) es));
+    let end_us = ref 0.0 in
+    List.iter
+      (fun e ->
+        let ts = us_of e.start_ns in
+        let dur = Int64.to_float e.dur_ns /. 1e3 in
+        end_us := Float.max !end_us (ts +. dur);
+        entry
+          "{\"name\":\"%s\",\"cat\":\"cpr\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%d"
+          (Json.escape e.name) ts dur e.track;
+        if e.args <> [] then begin
+          add ",\"args\":{";
+          List.iteri
+            (fun i (k, v) ->
+              add "%s\"%s\":\"%s\""
+                (if i = 0 then "" else ",")
+                (Json.escape k) (Json.escape v))
+            e.args;
+          add "}"
+        end;
+        add "}")
+      es;
+    List.iter
+      (fun (n, v) ->
+        entry
+          "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":0,\"args\":{\"value\":%d}}"
+          (Json.escape n) !end_us v)
+      (counters ());
+    List.iter
+      (fun (n, v) ->
+        entry
+          "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":0,\"args\":{\"value\":%.6f}}"
+          (Json.escape n) !end_us v)
+      (gauges ());
+    add "\n]}\n";
+    Buffer.contents b
+
+  let export ~path =
+    let oc = open_out path in
+    output_string oc (to_string ());
+    close_out oc
+
   type parsed_event = {
     pname : string;
     pph : string;
@@ -454,7 +460,8 @@ module Trace = struct
   }
 
   let parse text =
-    match parse_json text with
+    let open Json in
+    match parse_exn text with
     | exception Bad msg -> Error msg
     | Obj fields -> (
       match List.assoc_opt "traceEvents" fields with

@@ -97,6 +97,29 @@ module Summary : sig
   val pp : Format.formatter -> unit -> unit
 end
 
+module Json : sig
+  (** The JSON string escaper every writer in the repository uses
+      (traces, crash bundles, bench artifacts), and a small but complete
+      reader for checking what they wrote. *)
+
+  val escape : string -> string
+  (** Escape for a JSON string literal: quote, backslash, and every
+      control character below [0x20] (as [\n] or [\u00XX]). *)
+
+  type t =
+    | Null
+    | Bool of bool
+    | Num of float
+    | Str of string
+    | Arr of t list
+    | Obj of (string * t) list
+
+  val parse : string -> (t, string) result
+  (** A full parse (objects, arrays, string escapes including [\uXXXX]);
+      strict about raw control characters inside strings, which JSON
+      forbids.  [Error] names the problem and its byte offset. *)
+end
+
 module Trace : sig
   (** Chrome-trace-format export: a JSON object whose [traceEvents]
       array holds one complete ("ph":"X") event per span — with the

@@ -1,15 +1,4 @@
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_escape = Cpr_obs.Obs.Json.escape
 
 (* [Filename.dirname "x.json"] is "." — concatenating it back would turn
    a bare --json filename into "./BENCH_latest.json", a distinct string

@@ -3,17 +3,16 @@
     baseline ([bench --check]).
 
     Lives in the library (rather than inline in [bench/main.ml]) so the
-    path normalization, JSON escaping and regression-detection logic are
+    path normalization and regression-detection logic are
     unit-testable — each has regressed silently before.
 
     The JSON layout is fixed: one key/value pair per line.  The readers
     below only promise to parse what {!render} writes; they are scanners
-    for that layout, not a general JSON parser (see {!Cpr_obs.Obs.Trace}
+    for that layout, not a general JSON parser (see {!Cpr_obs.Obs.Json}
     for one of those). *)
 
 val json_escape : string -> string
-(** Escape for a JSON string literal: quote, backslash, and every
-    control character below [0x20] (as [\n] or [\u00XX]). *)
+(** {!Cpr_obs.Obs.Json.escape}, under the name the bench writers use. *)
 
 val targets : is_dir:bool -> date:string -> string -> string * string
 (** [targets ~is_dir ~date path]: the [(dated, latest)] file pair for

@@ -99,94 +99,128 @@ let verify_stage ?(verify = true) ?verify_time ~stage ~before p =
         | Some r -> r := !r +. (Unix.gettimeofday () -. t0)
         | None -> ())
 
+(* The stage table: the one place a stage name maps to a transform.
+   Each transform works in place on a prepared copy and returns ICBM's
+   statistics when it ran ICBM.  [heur] only reaches ICBM. *)
+type stage = {
+  name : string;
+  descr : string;
+  transform : Cpr_core.Heur.t -> Prog.t -> Cpr_core.Icbm.region_stats option;
+}
+
+let stages =
+  [
+    {
+      name = "superblock";
+      descr = "profile-guided superblock formation (tail duplication)";
+      transform = (fun _ _ -> None);
+    };
+    {
+      name = "ifconv";
+      descr = "classic if-conversion of unbiased side exits";
+      transform =
+        (fun _ p ->
+          let (_ : Cpr_core.Ifconv.stats) = Cpr_core.Ifconv.convert p in
+          None);
+    };
+    {
+      name = "frp";
+      descr = "fully-resolved-predicate conversion";
+      transform =
+        (fun _ p ->
+          let (_ : int) = Cpr_core.Frp.convert p in
+          None);
+    };
+    {
+      name = "spec";
+      descr = "FRP conversion + predicate speculation";
+      transform =
+        (fun _ p ->
+          let (_ : int) = Cpr_core.Frp.convert p in
+          let (_ : Cpr_core.Spec.stats) = Cpr_core.Spec.speculate p in
+          None);
+    };
+    {
+      name = "unroll";
+      descr = "superblock loop unrolling (factor 2)";
+      transform =
+        (fun _ p ->
+          List.iter
+            (fun r ->
+              if Cpr_core.Unroll.unrollable p r then
+                ignore (Cpr_core.Unroll.unroll_region p r ~factor:2 : bool))
+            (Prog.regions p);
+          None);
+    };
+    {
+      name = "fullcpr";
+      descr = "full (redundant) CPR after Schlansker & Kathail";
+      transform =
+        (fun _ p ->
+          List.iter
+            (fun r ->
+              if Cpr_core.Frp.convert_region p r then begin
+                let (_ : Cpr_core.Spec.stats) =
+                  Cpr_core.Spec.speculate_region p r
+                in
+                ignore (Cpr_core.Fullcpr.transform_region p r : bool)
+              end)
+            (Prog.regions p);
+          None);
+    };
+    {
+      name = "icbm";
+      descr = "the ICBM schema (speculate, match, restructure, off-trace)";
+      transform = (fun heur p -> Some (Cpr_core.Icbm.run ~heur p));
+    };
+  ]
+
+let stage_names = List.map (fun s -> s.name) stages
+let find_stage name = List.find_opt (fun s -> s.name = name) stages
+
+(* The one skeleton every stage runs through.  Superblock formation is
+   [prepare] itself, so that row is the special case: it traces as
+   [pass/baseline], its chaos point sees the prepared program, it is
+   verified against the raw input, and its outcomes are [prepare]'s
+   last profile.  Every other stage transforms a copy of the prepared
+   program (or of [prepared], which is left untouched). *)
+let run ?(heur = Cpr_core.Heur.default) ?verify ?verify_time ?prepared stage
+    prog inputs =
+  if stage.name = "superblock" then
+    with_pass ~stage:"baseline" prog (fun () ->
+        let p, outcomes = prepare_profiled prog inputs in
+        Chaos.trip ~stage:stage.name p;
+        verify_stage ?verify ?verify_time ~stage:stage.name ~before:prog p;
+        { prog = p; icbm = None; outcomes = Some outcomes })
+  else
+    with_pass ~stage:stage.name prog (fun () ->
+        let before =
+          match prepared with Some p -> p | None -> prepare prog inputs
+        in
+        let p = Prog.copy before in
+        let icbm = stage.transform heur p in
+        (* Chaos injection point: fires only when the chaos harness armed
+           this stage on this domain; a no-op in production.  Placed
+           after the transform and before validation so a [Corrupt] fault
+           exercises exactly the detection path (validate -> verify ->
+           fallback) a real miscompile would take. *)
+        Chaos.trip ~stage:stage.name p;
+        Validate.check_exn p;
+        verify_stage ?verify ?verify_time ~stage:stage.name ~before p;
+        let outcomes = profile_outcomes p inputs in
+        Option.iter (fun stats -> record_icbm before stats p) icbm;
+        { prog = p; icbm; outcomes = Some outcomes })
+
+let stage_exn name =
+  match find_stage name with
+  | Some s -> s
+  | None -> invalid_arg ("Passes: unknown stage " ^ name)
+
 let baseline ?verify ?verify_time prog inputs =
-  with_pass ~stage:"baseline" prog (fun () ->
-      let p, outcomes = prepare_profiled prog inputs in
-      Chaos.trip ~stage:"superblock" p;
-      verify_stage ?verify ?verify_time ~stage:"superblock" ~before:prog p;
-      { prog = p; icbm = None; outcomes = Some outcomes })
+  run ?verify ?verify_time (stage_exn "superblock") prog inputs
 
 let height_reduce ?heur ?verify ?verify_time ?prepared prog inputs =
-  with_pass ~stage:"icbm" prog (fun () ->
-      (* [prepared] is left untouched: the transform runs on a copy. *)
-      let before =
-        match prepared with Some p -> p | None -> prepare prog inputs
-      in
-      let p = Prog.copy before in
-      let stats = Cpr_core.Icbm.run ?heur p in
-      Chaos.trip ~stage:"icbm" p;
-      Validate.check_exn p;
-      verify_stage ?verify ?verify_time ~stage:"icbm" ~before p;
-      let outcomes = profile_outcomes p inputs in
-      record_icbm before stats p;
-      { prog = p; icbm = Some stats; outcomes = Some outcomes })
-
-(* Per-stage entry points: each runs one transformation (plus its
-   prerequisites) on a prepared copy, re-validates and re-profiles.  The
-   differential fuzzer drives these individually so a miscompile is
-   attributed to the narrowest stage that exhibits it. *)
-
-let finish ?verify ?verify_time ~stage ~before p inputs =
-  (* Chaos injection point: fires only when the chaos harness armed this
-     stage on this domain; a no-op in production.  Placed after the
-     transform and before validation so a [Corrupt] fault exercises
-     exactly the detection path (validate -> verify -> fallback) a real
-     miscompile would take. *)
-  Chaos.trip ~stage p;
-  Validate.check_exn p;
-  verify_stage ?verify ?verify_time ~stage ~before p;
-  { prog = p; icbm = None; outcomes = Some (profile_outcomes p inputs) }
-
-let superblock_only ?verify ?verify_time prog inputs =
-  baseline ?verify ?verify_time prog inputs
-
-let if_convert ?verify ?verify_time prog inputs =
-  with_pass ~stage:"ifconv" prog (fun () ->
-      let p = prepare prog inputs in
-      let before = Prog.copy p in
-      let (_ : Cpr_core.Ifconv.stats) = Cpr_core.Ifconv.convert p in
-      finish ?verify ?verify_time ~stage:"ifconv" ~before p inputs)
-
-let frp_convert ?verify ?verify_time prog inputs =
-  with_pass ~stage:"frp" prog (fun () ->
-      let p = prepare prog inputs in
-      let before = Prog.copy p in
-      let (_ : int) = Cpr_core.Frp.convert p in
-      finish ?verify ?verify_time ~stage:"frp" ~before p inputs)
-
-let speculate ?verify ?verify_time prog inputs =
-  with_pass ~stage:"spec" prog (fun () ->
-      let p = prepare prog inputs in
-      let before = Prog.copy p in
-      let (_ : int) = Cpr_core.Frp.convert p in
-      let (_ : Cpr_core.Spec.stats) = Cpr_core.Spec.speculate p in
-      finish ?verify ?verify_time ~stage:"spec" ~before p inputs)
-
-let full_cpr ?heur ?verify ?verify_time prog inputs =
-  with_pass ~stage:"fullcpr" prog (fun () ->
-      let p = prepare prog inputs in
-      let before = Prog.copy p in
-      List.iter
-        (fun (r : Region.t) ->
-          if Cpr_core.Frp.convert_region p r then begin
-            let (_ : Cpr_core.Spec.stats) =
-              Cpr_core.Spec.speculate_region p r
-            in
-            ignore (Cpr_core.Fullcpr.transform_region ?heur p r : bool)
-          end)
-        (Prog.regions p);
-      finish ?verify ?verify_time ~stage:"fullcpr" ~before p inputs)
-
-let unroll ?(factor = 2) ?verify ?verify_time prog inputs =
-  with_pass ~stage:"unroll" prog (fun () ->
-      let p = prepare prog inputs in
-      let before = Prog.copy p in
-      List.iter
-        (fun (r : Region.t) ->
-          if Cpr_core.Unroll.unrollable p r then
-            ignore (Cpr_core.Unroll.unroll_region p r ~factor : bool))
-        (Prog.regions p);
-      finish ?verify ?verify_time ~stage:"unroll" ~before p inputs)
+  run ?heur ?verify ?verify_time ?prepared (stage_exn "icbm") prog inputs
 
 type entry =
   ?verify:bool ->
@@ -195,20 +229,10 @@ type entry =
   Cpr_sim.Equiv.input list ->
   compiled
 
-let stage_names =
-  [ "superblock"; "ifconv"; "frp"; "spec"; "unroll"; "fullcpr"; "icbm" ]
-
-let by_name : string -> entry option = function
-  | "superblock" | "baseline" -> Some baseline
-  | "ifconv" -> Some if_convert
-  | "frp" -> Some frp_convert
-  | "spec" -> Some speculate
-  | "unroll" -> Some (fun ?verify ?verify_time p i -> unroll ?verify ?verify_time p i)
-  | "fullcpr" ->
-    Some (fun ?verify ?verify_time p i -> full_cpr ?verify ?verify_time p i)
-  | "icbm" ->
-    Some (fun ?verify ?verify_time p i -> height_reduce ?verify ?verify_time p i)
-  | _ -> None
+let by_name name : entry option =
+  Option.map
+    (fun s ?verify ?verify_time p i -> run ?verify ?verify_time s p i)
+    (find_stage name)
 
 (* The verified fallback: a plain copy of the pre-pass IR, the last
    program known good.  Never a partially transformed working copy —
@@ -221,28 +245,14 @@ let fallback_compiled prog inputs =
   (try profile p inputs with _ -> Prog.clear_profile p);
   { prog = p; icbm = None; outcomes = None }
 
-let protected ?heur ?verify ?verify_time ?(retries = 1) ?bundle_dir ?machine
+let protected ?verify ?verify_time ?(retries = 1) ?bundle_dir ?machine
     ?prepared ~stage prog inputs =
-  let run =
-    match stage with
-    | "icbm" ->
-      Some
-        (fun ?verify ?verify_time p i ->
-          height_reduce ?heur ?verify ?verify_time ?prepared p i)
-    | "fullcpr" ->
-      Some
-        (fun ?verify ?verify_time p i ->
-          full_cpr ?heur ?verify ?verify_time p i)
-    | s -> by_name s
+  let st = stage_exn stage in
+  let on_failure =
+    Option.map
+      (fun dir fail -> Recover.bundle_to ~dir ?machine ~inputs prog fail)
+      bundle_dir
   in
-  match run with
-  | None -> invalid_arg ("Passes.protected: unknown stage " ^ stage)
-  | Some run ->
-    let on_failure =
-      Option.map
-        (fun dir fail -> Recover.bundle_to ~dir ?machine ~inputs prog fail)
-        bundle_dir
-    in
-    Recover.protect ~retries ?on_failure ~stage
-      ~fallback:(fun () -> fallback_compiled prog inputs)
-      (fun () -> run ?verify ?verify_time prog inputs)
+  Recover.protect ~retries ?on_failure ~stage
+    ~fallback:(fun () -> fallback_compiled prog inputs)
+    (fun () -> run ?verify ?verify_time ?prepared st prog inputs)

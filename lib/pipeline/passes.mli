@@ -11,7 +11,8 @@ open Cpr_ir
 
 type compiled = {
   prog : Prog.t;
-  icbm : Cpr_core.Icbm.region_stats option;  (** None for the baseline *)
+  icbm : Cpr_core.Icbm.region_stats option;
+      (** [Some] for the [icbm] stage only *)
   outcomes : Cpr_sim.Interp.outcome list option;
       (** the interpreter run of [prog] on each input, in input order,
           from the profile that produced [prog]'s counts; [None] for
@@ -35,78 +36,74 @@ val prepare : Prog.t -> Cpr_sim.Equiv.input list -> Prog.t
     (tail-duplicating join points), prune unreachable regions, and
     re-profile — the IMPACT role; both compiled codes start here. *)
 
-val baseline :
-  ?verify:bool -> ?verify_time:float ref -> Prog.t
-  -> Cpr_sim.Equiv.input list -> compiled
-(** {!prepare} only; the input program is untouched.
+(** {2 The stage table}
 
-    Every entry point statically verifies its own output by default
+    Every transformation stage is one row: a name, a one-line
+    description and a transform that works in place on a {!prepare}d
+    copy.  {!run} is the one skeleton around it: a [pass/<stage>] span,
+    {!prepare} (or [?prepared]), the transform on a copy, the chaos
+    injection point, structural validation, static verification
+    against the prepared program, and the re-profile whose runs become
+    {!compiled.outcomes}.  {!by_name}, {!protected}, {!Report.run} and
+    the fuzzer's stage list ({!Cpr_fuzz.Stage}) all read this table. *)
+
+type stage = {
+  name : string;
+  descr : string;
+  transform : Cpr_core.Heur.t -> Prog.t -> Cpr_core.Icbm.region_stats option;
+      (** in place; [Some] stats for ICBM, the only consumer of the
+          heuristics *)
+}
+
+val stages : stage list
+(** In pipeline order: [superblock], [ifconv], [frp], [spec], [unroll]
+    (factor 2), [fullcpr], [icbm]. *)
+
+val stage_names : string list
+(** The names of {!stages}, in order; the chaos harness derives its
+    plans from this order. *)
+
+val find_stage : string -> stage option
+
+val run :
+  ?heur:Cpr_core.Heur.t -> ?verify:bool -> ?verify_time:float ref
+  -> ?prepared:Prog.t -> stage -> Prog.t -> Cpr_sim.Equiv.input list
+  -> compiled
+(** Run one stage on a fresh copy; the input program is untouched.
+    Raises [Invalid_argument] if the transformed program fails
+    structural validation.
+
+    Every stage statically verifies its own output by default
     ([verify] defaults to [true]): the {!Cpr_verify} lint plus per-stage
     translation validation against the pre-transformation program, with
     error findings raised as {!Cpr_verify.Verify.Verify_error}.  Pass
     [~verify:false] to skip (micro-benchmarks; drivers that verify
     separately), and [~verify_time] to accumulate the wall time spent
-    verifying.
-
-    Every entry point also runs inside a [pass/<stage>] {!Cpr_obs.Obs}
-    span, with the verifier under a nested [verify/<stage>] span and
-    op-count/ICBM counters alongside — all dark unless a [--trace] sink
-    enabled telemetry.  [~verify_time] keeps working either way. *)
-
-val height_reduce :
-  ?heur:Cpr_core.Heur.t -> ?verify:bool -> ?verify_time:float ref
-  -> ?prepared:Prog.t -> Prog.t -> Cpr_sim.Equiv.input list -> compiled
-(** Full pipeline on a fresh copy: profile, FRP-convert, ICBM, validate,
-    re-profile.  Raises [Invalid_argument] if the transformed program
-    fails structural validation.
+    verifying.  The verifier runs under a nested [verify/<stage>] span,
+    with op-count/ICBM counters alongside — all dark unless a [--trace]
+    sink enabled telemetry.
 
     [prepared], when given, must be [prepare prog inputs] (for instance
     the program of a committed {!baseline}); the transform then starts
     from a copy of it instead of preparing again, and [prepared] itself
     is not modified.  {!prepare} is deterministic, so the result is the
-    same either way. *)
+    same either way.
 
-(** {2 Per-stage entry points}
+    The [superblock] row is [prepare] itself: it runs under
+    [pass/baseline], ignores [prepared], trips its chaos point on the
+    prepared program, is verified against the raw input, and keeps
+    [prepare]'s last profile as its outcomes. *)
 
-    Each runs one transformation (with its prerequisites) on a
-    {!prepare}d copy, then re-validates and re-profiles.  The
-    differential fuzzer ({!Cpr_fuzz}) drives these individually so that a
-    miscompile is attributed to the narrowest stage exhibiting it; they
-    are also convenient for ablation benches.  All raise
-    [Invalid_argument] on a validation failure, like {!height_reduce}. *)
-
-val superblock_only :
+val baseline :
   ?verify:bool -> ?verify_time:float ref -> Prog.t
   -> Cpr_sim.Equiv.input list -> compiled
-(** Alias of {!baseline}: superblock formation is the whole stage. *)
+(** {!run} of the [superblock] row. *)
 
-val if_convert :
-  ?verify:bool -> ?verify_time:float ref -> Prog.t
-  -> Cpr_sim.Equiv.input list -> compiled
-(** {!prepare} + classic if-conversion of unbiased side exits. *)
-
-val frp_convert :
-  ?verify:bool -> ?verify_time:float ref -> Prog.t
-  -> Cpr_sim.Equiv.input list -> compiled
-(** {!prepare} + FRP conversion of every region. *)
-
-val speculate :
-  ?verify:bool -> ?verify_time:float ref -> Prog.t
-  -> Cpr_sim.Equiv.input list -> compiled
-(** {!prepare} + FRP conversion + predicate speculation. *)
-
-val full_cpr :
-  ?heur:Cpr_core.Heur.t -> ?verify:bool -> ?verify_time:float ref -> Prog.t
-  -> Cpr_sim.Equiv.input list -> compiled
-(** {!prepare} + per-region FRP conversion, speculation and the full
-    (redundant) CPR scheme of Schlansker & Kathail.  [heur] only feeds
-    the optional pressure gate (see {!Cpr_core.Heur.pressure_gate}). *)
-
-val unroll :
-  ?factor:int -> ?verify:bool -> ?verify_time:float ref -> Prog.t
-  -> Cpr_sim.Equiv.input list -> compiled
-(** {!prepare} + unrolling of every unrollable self-loop ([factor]
-    default 2). *)
+val height_reduce :
+  ?heur:Cpr_core.Heur.t -> ?verify:bool -> ?verify_time:float ref
+  -> ?prepared:Prog.t -> Prog.t -> Cpr_sim.Equiv.input list -> compiled
+(** {!run} of the [icbm] row: FRP conversion and the ICBM schema on the
+    prepared program, re-profiled. *)
 
 (** {2 Stage dispatch and sandboxed execution} *)
 
@@ -114,14 +111,8 @@ type entry =
   ?verify:bool -> ?verify_time:float ref -> Prog.t
   -> Cpr_sim.Equiv.input list -> compiled
 
-val stage_names : string list
-(** Every dispatchable stage name, in pipeline order: [superblock],
-    [ifconv], [frp], [spec], [unroll], [fullcpr], [icbm]. *)
-
 val by_name : string -> entry option
-(** The entry point for a stage name ([baseline] is an alias of
-    [superblock]); [None] for unknown names.  Crash-bundle replay and
-    the chaos harness dispatch through this. *)
+(** {!run} of the named row; [None] for names not in {!stages}. *)
 
 val fallback_compiled : Prog.t -> Cpr_sim.Equiv.input list -> compiled
 (** The verified fallback for a failed stage: a plain profiled copy of
@@ -132,7 +123,6 @@ val fallback_compiled : Prog.t -> Cpr_sim.Equiv.input list -> compiled
     the fallback thunk. *)
 
 val protected :
-  ?heur:Cpr_core.Heur.t ->
   ?verify:bool ->
   ?verify_time:float ref ->
   ?retries:int ->
@@ -148,8 +138,7 @@ val protected :
     [Fell_back (fallback_compiled prog inputs, failure)] instead of a
     raised exception, with one retry for transient faults (default
     [retries = 1]).  [bundle_dir] additionally writes a replayable
-    crash bundle on failure ([machine] is recorded in its metadata;
-    [heur] and [prepared] apply to the [icbm] stage).  The bundle
-    records [prog], never [prepared]: replaying it prepares again,
-    which reproduces [prepared].  Raises [Invalid_argument] on
+    crash bundle on failure ([machine] is recorded in its metadata).
+    The bundle records [prog], never [prepared]: replaying it prepares
+    again, which reproduces [prepared].  Raises [Invalid_argument] on
     an unknown stage name. *)

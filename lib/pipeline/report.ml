@@ -24,21 +24,13 @@ type result = {
 
 let degraded r = r.failures <> []
 
-let run ?heur ?(recover = true) ?bundle_dir ~name prog inputs =
+let run_with_stats ?bundle_dir ~name prog inputs =
   Cpr_obs.Obs.span ~args:[ ("workload", name) ] ("workload/" ^ name)
   @@ fun () ->
   let t0 = Unix.gettimeofday () in
   let verify_time = ref 0.0 in
   let stage_p ?prepared stage =
-    if recover then
-      Passes.protected ?heur ~verify_time ?bundle_dir ?prepared ~stage prog
-        inputs
-    else
-      Recover.Committed
-        (match stage with
-        | "icbm" ->
-          Passes.height_reduce ?heur ~verify_time ?prepared prog inputs
-        | _ -> Passes.baseline ~verify_time prog inputs)
+    Passes.protected ~verify_time ?bundle_dir ?prepared ~stage prog inputs
   in
   (* One [prepare] per workload: a committed baseline is exactly the
      program ICBM would prepare for itself.  A fallen-back one is the
@@ -93,37 +85,41 @@ let run ?heur ?(recover = true) ?bundle_dir ~name prog inputs =
   let sb = Stats_ir.of_prog base.Passes.prog in
   let sr = Stats_ir.of_prog reduced.Passes.prog in
   let s_tot, s_br, d_tot, d_br = Stats_ir.ratio sr sb in
-  {
-    name;
-    speedups;
-    s_tot;
-    s_br;
-    d_tot;
-    d_br;
-    baseline_cycles;
-    reduced_cycles;
-    icbm =
-      (match reduced.Passes.icbm with
-      | Some s -> s
-      | None -> Cpr_core.Icbm.zero_stats);
-    equivalent;
-    failures = List.filter_map Recover.failure [ base_p; reduced_p ];
-    bound_cycles;
-    achieved_cycles;
-    height_gap;
-    pressure;
-    verify_s = !verify_time;
-    total_s = Unix.gettimeofday () -. t0;
-  }
+  ( {
+      name;
+      speedups;
+      s_tot;
+      s_br;
+      d_tot;
+      d_br;
+      baseline_cycles;
+      reduced_cycles;
+      icbm =
+        (match reduced.Passes.icbm with
+        | Some s -> s
+        | None -> Cpr_core.Icbm.zero_stats);
+      equivalent;
+      failures = List.filter_map Recover.failure [ base_p; reduced_p ];
+      bound_cycles;
+      achieved_cycles;
+      height_gap;
+      pressure;
+      verify_s = !verify_time;
+      total_s = Unix.gettimeofday () -. t0;
+    },
+    sb,
+    sr )
+
+let run ?bundle_dir ~name prog inputs =
+  let r, _, _ = run_with_stats ?bundle_dir ~name prog inputs in
+  r
 
 let c_workloads = Cpr_obs.Obs.counter "report.workloads"
 
-let run_many ?pool ?heur ?recover ?bundle_dir jobs =
+let run_many ?pool ?bundle_dir jobs =
   Cpr_obs.Obs.span "report/run_many" @@ fun () ->
   Cpr_obs.Obs.add c_workloads (List.length jobs);
-  let one (name, prog, inputs) =
-    run ?heur ?recover ?bundle_dir ~name prog inputs
-  in
+  let one (name, prog, inputs) = run ?bundle_dir ~name prog inputs in
   match pool with
   | Some p ->
     Cpr_par.Pool.map ~label:(fun (name, _, _) -> name) p one jobs

@@ -53,17 +53,22 @@ val degraded : result -> bool
 (** [failures <> []]. *)
 
 val run :
-  ?heur:Cpr_core.Heur.t -> ?recover:bool -> ?bundle_dir:string
-  -> name:string -> Prog.t -> Cpr_sim.Equiv.input list -> result
-(** [recover] (default [true]) runs both compilations under
-    {!Passes.protected}: a pass failure degrades the workload (see
-    {!type:result.failures}) instead of aborting the suite.  With
-    [~recover:false] exceptions propagate as before.  [bundle_dir]
-    writes a replayable crash bundle per recovered failure. *)
+  ?bundle_dir:string -> name:string -> Prog.t -> Cpr_sim.Equiv.input list
+  -> result
+(** Both compilations run under {!Passes.protected}: a pass failure
+    degrades the workload (see {!type:result.failures}) instead of
+    aborting the suite.  [bundle_dir] writes a replayable crash bundle
+    per recovered failure. *)
+
+val run_with_stats :
+  ?bundle_dir:string -> name:string -> Prog.t -> Cpr_sim.Equiv.input list
+  -> result * Stats_ir.t * Stats_ir.t
+(** {!run}, also returning the baseline's and the height-reduced code's
+    operation counts (the two sides of the Table 3 ratios), for drivers
+    that print them. *)
 
 val run_many :
-  ?pool:Cpr_par.Pool.t -> ?heur:Cpr_core.Heur.t -> ?recover:bool
-  -> ?bundle_dir:string
+  ?pool:Cpr_par.Pool.t -> ?bundle_dir:string
   -> (string * Prog.t * Cpr_sim.Equiv.input list) list -> result list
 (** {!run} over a whole suite.  [?pool] distributes benchmarks across
     domains; results come back in input order either way, so the two

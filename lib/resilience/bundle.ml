@@ -12,19 +12,6 @@ let rec mkdir_p dir =
 
 let one_line s = String.map (function '\n' | '\r' -> ' ' | c -> c) s
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let write_file path contents =
   let oc = open_out path in
   output_string oc contents;
@@ -60,18 +47,18 @@ let write ?(dir = default_dir) ?machine ?(retries = 0) ?(findings = [])
     in
     let meta = Buffer.create 256 in
     let add fmt = Printf.ksprintf (Buffer.add_string meta) fmt in
-    add "{\n  \"id\": \"%s\",\n" (json_escape id);
-    add "  \"stage\": \"%s\",\n" (json_escape stage);
-    add "  \"reason\": \"%s\",\n" (json_escape (one_line reason));
+    add "{\n  \"id\": \"%s\",\n" (Obs.Json.escape id);
+    add "  \"stage\": \"%s\",\n" (Obs.Json.escape stage);
+    add "  \"reason\": \"%s\",\n" (Obs.Json.escape (one_line reason));
     add "  \"retries\": %d,\n" retries;
     (match machine with
-    | Some m -> add "  \"machine\": \"%s\",\n" (json_escape m)
+    | Some m -> add "  \"machine\": \"%s\",\n" (Obs.Json.escape m)
     | None -> ());
     add "  \"inputs\": %d,\n" (List.length inputs);
     add "  \"findings\": [";
     List.iteri
       (fun i f ->
-        add "%s\n    \"%s\"" (if i = 0 then "" else ",") (json_escape f))
+        add "%s\n    \"%s\"" (if i = 0 then "" else ",") (Obs.Json.escape f))
       rendered_findings;
     add "%s]\n}\n" (if rendered_findings = [] then "" else "\n  ");
     write_file (Filename.concat bdir "meta.json") (Buffer.contents meta);

@@ -166,6 +166,39 @@ let report_runs_inputs_three_times () =
       checki "baseline profile x2, ICBM re-profile x1" 3
         (Obs.counter_value (Obs.counter "profile.input_sets")))
 
+(* The stage table is the one map from a stage name to a transform: the
+   fuzzer's stage list is the table plus its end-to-end extra, and the
+   sandboxed, direct and fuzzer entries all build the same program. *)
+let stage_table_agrees () =
+  check
+    Alcotest.(list string)
+    "fuzz stages = table + fullpipe"
+    (P.Passes.stage_names @ [ "fullpipe" ])
+    (List.map (fun (s : Cpr_fuzz.Stage.t) -> s.Cpr_fuzz.Stage.name)
+       Cpr_fuzz.Stage.all);
+  List.iter
+    (fun name ->
+      let w = Option.get (Cpr_workloads.Registry.find name) in
+      let prog = w.Cpr_workloads.Workload.build () in
+      let inputs = w.Cpr_workloads.Workload.inputs () in
+      List.iter
+        (fun stage ->
+          let what = name ^ " " ^ stage in
+          let run : P.Passes.entry = Option.get (P.Passes.by_name stage) in
+          let direct = run prog inputs in
+          let text = Printer.to_text direct.P.Passes.prog in
+          (match P.Passes.protected ~stage prog inputs with
+          | Cpr_resilience.Recover.Committed c ->
+            check Alcotest.string (what ^ ": protected = by_name") text
+              (Printer.to_text c.P.Passes.prog)
+          | Cpr_resilience.Recover.Fell_back _ ->
+            Alcotest.failf "%s: protected fell back" what);
+          let fz = Option.get (Cpr_fuzz.Stage.find stage) in
+          check Alcotest.string (what ^ ": fuzz apply = by_name") text
+            (Printer.to_text (fz.Cpr_fuzz.Stage.apply prog inputs)))
+        P.Passes.stage_names)
+    [ "strcpy"; "grep"; "099.go" ]
+
 let suite =
   ( "pipeline & report",
     [
@@ -179,4 +212,5 @@ let suite =
       case "report = the seven-run sequence, all workloads"
         report_matches_seven_runs;
       case "report runs the input set 3 times" report_runs_inputs_three_times;
+      case "stage table agrees across entry points" stage_table_agrees;
     ] )

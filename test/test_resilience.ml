@@ -187,6 +187,42 @@ let bundle_roundtrip () =
       | Ok bdir2 -> check Alcotest.string "idempotent id" bdir bdir2
       | Error msg -> Alcotest.failf "rewrite failed: %s" msg))
 
+(* meta.json is read back with the JSON reader that shares its escaper:
+   a reason carrying a quote, a backslash and control characters must
+   come back byte for byte (newlines are flattened to spaces first). *)
+let bundle_meta_parses () =
+  let prog, inputs = profiled_strcpy () in
+  let dir = fresh_dir "cpr-bundle-meta" in
+  let reason = "bad \"quote\" \\ back\tslash \001 bell\nnext line" in
+  match
+    Bundle.write ~dir ~machine:"Med" ~retries:2 ~inputs ~stage:"icbm"
+      ~reason ~prog ()
+  with
+  | Error msg -> Alcotest.failf "bundle write failed: %s" msg
+  | Ok bdir -> (
+    let ic = open_in_bin (Filename.concat bdir "meta.json") in
+    let text = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    match Obs.Json.parse text with
+    | Error msg -> Alcotest.failf "meta.json does not parse: %s" msg
+    | Ok (Obs.Json.Obj fields) ->
+      let field k = List.assoc_opt k fields in
+      checkb "id is the bundle directory" true
+        (field "id" = Some (Obs.Json.Str (Filename.basename bdir)));
+      checkb "stage" true (field "stage" = Some (Obs.Json.Str "icbm"));
+      check Alcotest.(option string) "reason round-trips"
+        (Some "bad \"quote\" \\ back\tslash \001 bell next line")
+        (match field "reason" with
+        | Some (Obs.Json.Str r) -> Some r
+        | _ -> None);
+      checkb "retries" true (field "retries" = Some (Obs.Json.Num 2.));
+      checkb "machine" true (field "machine" = Some (Obs.Json.Str "Med"));
+      checkb "inputs" true
+        (field "inputs"
+        = Some (Obs.Json.Num (float_of_int (List.length inputs))));
+      checkb "findings" true (field "findings" = Some (Obs.Json.Arr []))
+    | Ok _ -> Alcotest.fail "meta.json is not an object")
+
 let bundle_via_protected () =
   let prog, inputs = profiled_strcpy () in
   let dir = fresh_dir "cpr-bundle-prot" in
@@ -537,6 +573,7 @@ let suite =
         recover_on_failure_swallowed;
       case "recover: fallback/retry counters" recover_counters;
       case "bundle: corpus-format round-trip, idempotent id" bundle_roundtrip;
+      case "bundle: meta.json parses back" bundle_meta_parses;
       case "bundle: written by the protected pipeline" bundle_via_protected;
       case "report: superblock fault, icbm prepares its own"
         report_superblock_fault;
