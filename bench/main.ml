@@ -11,17 +11,7 @@
 
    2. Bechamel micro-benchmarks of the compiler itself — one Test.make
       per table plus one per major pass — reporting ns/run for the
-      machinery that regenerates each artifact.
-
-   Usage:
-     dune exec bench/main.exe              # everything (full suite)
-     dune exec bench/main.exe -- --quick   # 3-workload subset
-     dune exec bench/main.exe -- --tables  # skip the micro-benchmarks
-     dune exec bench/main.exe -- --micro   # skip the tables
-     dune exec bench/main.exe -- --json .  # also write BENCH_<date>.json
-     dune exec bench/main.exe -- --trace t.json          # Chrome trace
-     dune exec bench/main.exe -- --check BENCH_latest.json [--tolerance 25]
-                                           # perf-regression gate       *)
+      machinery that regenerates each artifact. *)
 
 open Bechamel
 open Toolkit
@@ -29,30 +19,6 @@ module W = Cpr_workloads
 module P = Cpr_pipeline
 module Obs = Cpr_obs.Obs
 open Cpr_ir
-
-let quick = Array.exists (fun a -> a = "--quick") Sys.argv
-let tables_only = Array.exists (fun a -> a = "--tables") Sys.argv
-let micro_only = Array.exists (fun a -> a = "--micro") Sys.argv
-
-let flag_value name =
-  let rec find i =
-    if i >= Array.length Sys.argv then None
-    else if Sys.argv.(i) = name && i + 1 < Array.length Sys.argv then
-      Some Sys.argv.(i + 1)
-    else find (i + 1)
-  in
-  find 1
-
-(* [--domains N]: domains for the workload-suite run.  Defaults to the
-   runtime's recommendation capped at 8; results are identical for every
-   N, only the wall clock changes. *)
-let domains =
-  match flag_value "--domains" with
-  | None -> Cpr_par.Pool.default_domains ()
-  | Some s -> (
-    match int_of_string_opt s with
-    | Some d when d >= 1 -> d
-    | _ -> invalid_arg "--domains expects a positive integer")
 
 (* Reproducible-build convention: SOURCE_DATE_EPOCH overrides the wall
    clock wherever a date lands in output. *)
@@ -68,45 +34,7 @@ let bench_date () =
   Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900)
     (tm.Unix.tm_mon + 1) tm.Unix.tm_mday
 
-(* [--json PATH]: also dump the Table 2/3 numbers, the micro-bench
-   ns/run figures, and the parallel wall-clock measurements as JSON.  A
-   directory PATH gets a dated [BENCH_<yyyy-mm-dd>.json] inside it; a
-   sibling [BENCH_latest.json] is always (re)written too, and the
-   previous latest, if any, is compared against. *)
-let json_target =
-  Option.map
-    (fun p ->
-      P.Bench_io.targets
-        ~is_dir:(Sys.file_exists p && Sys.is_directory p)
-        ~date:(bench_date ()) p)
-    (flag_value "--json")
-
-(* [--check BASELINE.json [--tolerance PCT]]: after the suite, compare
-   per-workload total_s/verify_s and suite wall time against the
-   committed baseline; exit nonzero past the noise margin.  CI's
-   bench-smoke job is the intended caller (with a generous tolerance
-   for shared runners). *)
-let check_target = flag_value "--check"
-
-let tolerance =
-  match flag_value "--tolerance" with
-  | None -> 25.0
-  | Some s -> (
-    match float_of_string_opt s with
-    | Some t when t >= 0.0 -> t
-    | _ -> invalid_arg "--tolerance expects a non-negative percentage")
-
-(* [--trace FILE]: enable Cpr_obs and export the run as a Chrome-trace
-   JSON (chrome://tracing, Perfetto), plus a span summary on stderr. *)
-let trace_target = flag_value "--trace"
-
-(* Counters (pqs, pass, verify families) must accumulate whenever the
-   run will be persisted, not just when a trace is requested: the JSON
-   artifact reports predicate-engine cache effectiveness. *)
-let () =
-  if trace_target <> None || json_target <> None then Obs.set_enabled true
-
-let suite () =
+let suite ~quick =
   if quick then
     List.filter_map W.Registry.find [ "strcpy"; "grep"; "099.go" ]
   else W.Registry.all
@@ -139,17 +67,17 @@ let timed f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-let suite_jobs () =
+let suite_jobs ~quick =
   List.map
     (fun (w : W.Workload.t) ->
       (w.W.Workload.name, w.W.Workload.build (), w.W.Workload.inputs ()))
-    (suite ())
+    (suite ~quick)
 
-let run_suite ?(quiet = false) ~domains () =
+let run_suite ?(quiet = false) ~quick ~domains () =
   let results =
     Cpr_par.Pool.with_pool ~domains (fun pool ->
         P.Report.run_many ~pool
-          ~bundle_dir:Cpr_resilience.Bundle.default_dir (suite_jobs ()))
+          ~bundle_dir:Cpr_resilience.Bundle.default_dir (suite_jobs ~quick))
   in
   if not quiet then
     List.iter
@@ -524,12 +452,13 @@ let run_micro () =
    requested count — the numbers the "Performance" section of the README
    tracks.  On a single-core host the pairs coincide (modulo noise);
    multi-core CI is where the spread shows. *)
-let measure_parallel () =
+let measure_parallel ~quick ~domains =
   let suite_wall d =
     snd
       (timed (fun () ->
            ignore
-             (run_suite ~quiet:true ~domains:d () : P.Report.result list)))
+             (run_suite ~quiet:true ~quick ~domains:d ()
+               : P.Report.result list)))
   in
   let fuzz_rate d =
     let stages =
@@ -567,10 +496,13 @@ let pqs_counter_names =
     "pressure.queries";
   ]
 
-let write_json ~dated ~latest results micro par =
-  let prev = Option.value ~default:"" (P.Bench_io.read_file latest) in
-  let prev_micro = P.Bench_io.read_micro prev in
-  let prev_verify = P.Bench_io.read_scalar prev "verify_total_s" in
+let write_json ~domains ~dated ~latest results micro par =
+  (* The previous latest, when one is on disk and readable, is what this
+     run is compared against. *)
+  let prev =
+    Option.bind (P.Bench_io.read_file latest) (fun text ->
+        Result.to_option (P.Bench_io.parse text))
+  in
   let pqs =
     List.filter
       (fun (name, _) -> List.mem name pqs_counter_names)
@@ -582,90 +514,86 @@ let write_json ~dated ~latest results micro par =
   in
   List.iter
     (fun path ->
-      let oc = open_out path in
-      output_string oc contents;
-      close_out oc;
+      Out_channel.with_open_text path (fun oc -> output_string oc contents);
       Format.printf "@.wrote %s@." path)
     (if dated = latest then [ dated ] else [ dated; latest ]);
-  if prev_micro <> [] then begin
-    Format.printf "@.micro-bench vs previous %s:@." latest;
-    List.iter
-      (fun (name, est) ->
-        match (est, List.assoc_opt name prev_micro) with
-        | Some e, Some p when p > 0. ->
-          Format.printf "  %-28s %12.0f -> %12.0f ns/run (x%.2f)@." name p e
-            (e /. p)
-        | _ -> ())
-      (List.sort compare micro)
-  end;
-  (match (prev_verify, results) with
-  | Some p, _ :: _ when p > 0. ->
-    let v, _ = P.Bench_io.suite_seconds results in
-    Format.printf "@.static verifier vs previous: %.3fs -> %.3fs (x%.2f)@." p
-      v (v /. p)
-  | _ -> ());
+  Option.iter
+    (fun (prev : P.Bench_io.baseline) ->
+      if prev.P.Bench_io.micro <> [] then begin
+        Format.printf "@.micro-bench vs previous %s:@." latest;
+        List.iter
+          (fun (name, est) ->
+            match (est, List.assoc_opt name prev.P.Bench_io.micro) with
+            | Some e, Some p when p > 0. ->
+              Format.printf "  %-28s %12.0f -> %12.0f ns/run (x%.2f)@." name
+                p e (e /. p)
+            | _ -> ())
+          (List.sort compare micro)
+      end;
+      match (prev.P.Bench_io.verify_total_s, results) with
+      | Some p, _ :: _ when p > 0. ->
+        let v, _ = P.Bench_io.suite_seconds results in
+        Format.printf
+          "@.static verifier vs previous: %.3fs -> %.3fs (x%.2f)@." p v
+          (v /. p)
+      | _ -> ())
+    prev;
   (* Predicate-engine cache effectiveness, against the previous run when
      one is on disk.  Counts are workload-dependent, so only the hit
      rate is comparable across differently-sized runs. *)
-  let rate hits misses =
-    let total = hits +. misses in
-    if total > 0. then 100. *. hits /. total else 0.
+  let count counters name =
+    Option.value ~default:0 (List.assoc_opt name counters)
   in
-  let cur = function
-    | name -> (
-      match List.assoc_opt name pqs with Some v -> float_of_int v | None -> 0.)
+  let rate counters =
+    let h = count counters "pqs.memo_hits" in
+    let total = h + count counters "pqs.memo_misses" in
+    if total > 0 then Some (100. *. float_of_int h /. float_of_int total)
+    else None
   in
   if pqs <> [] then begin
-    Format.printf
-      "@.pqs: %.0f queries, %.0f interned, memo hit rate %.1f%%"
-      (cur "pqs.queries") (cur "pqs.interned")
-      (rate (cur "pqs.memo_hits") (cur "pqs.memo_misses"));
-    (match
-       ( P.Bench_io.read_scalar prev "pqs.memo_hits",
-         P.Bench_io.read_scalar prev "pqs.memo_misses" )
-     with
-    | Some h, Some m when h +. m > 0. ->
-      Format.printf " (previous %.1f%%)" (rate h m)
-    | _ -> ());
+    Format.printf "@.pqs: %d queries, %d interned, memo hit rate %.1f%%"
+      (count pqs "pqs.queries") (count pqs "pqs.interned")
+      (Option.value ~default:0. (rate pqs));
+    Option.iter
+      (Format.printf " (previous %.1f%%)")
+      (Option.bind prev (fun b -> rate b.P.Bench_io.pqs));
     Format.printf "@."
   end
 
 (* ------------------------------------------------------------------ *)
 (* Baseline gate (--check)                                             *)
 
-(* Snapshot the baseline before anything runs: --json may rewrite the
-   very file --check points at, and a gate that compares a run against
-   itself always passes. *)
-let check_baseline =
-  Option.map (fun p -> (p, P.Bench_io.read_file p)) check_target
-
-let run_check ~baseline_path baseline results =
-  match baseline with
-  | None ->
-    Format.eprintf "--check: no baseline at %s@." baseline_path;
-    false
-  | Some baseline ->
-    let current =
-      List.map
-        (fun (r : P.Report.result) ->
-          (r.P.Report.name, r.P.Report.verify_s, r.P.Report.total_s))
-        results
-    in
-    (* A baseline workload absent from this run is skipped by the gate —
-       warn so a workload that silently stopped running doesn't pass
-       forever.  (--quick against a full-suite baseline warns by design.) *)
-    List.iter
-      (fun name ->
-        Format.eprintf
-          "--check: warning: baseline workload %s not in this run; not gated@."
-          name)
-      (P.Bench_io.missing_from_current ~baseline ~current);
-    (* Schedule quality: warn-only.  The gap moves whenever the
-       optimizer legitimately changes the code it hands the scheduler,
-       so it signals a trajectory to look at, never a gate failure. *)
-    let base_gaps = P.Bench_io.read_height baseline in
-    List.iter
+let run_check ~tolerance ~baseline_path (baseline : P.Bench_io.baseline)
+    results =
+  let current =
+    List.map
       (fun (r : P.Report.result) ->
+        (r.P.Report.name, r.P.Report.verify_s, r.P.Report.total_s))
+      results
+  in
+  (* A baseline workload absent from this run is skipped by the gate —
+     warn so a workload that silently stopped running doesn't pass
+     forever.  (--quick against a full-suite baseline warns by design.) *)
+  List.iter
+    (fun name ->
+      Format.eprintf
+        "--check: warning: baseline workload %s not in this run; not gated@."
+        name)
+    (P.Bench_io.missing_from_current ~baseline ~current);
+  (* Schedule quality and register pressure: warn-only.  The height gap
+     and MAXLIVE move whenever the optimizer legitimately changes the
+     code it hands the scheduler, so they signal a trajectory to look
+     at, never a gate failure; pressure only warns past its noise floor. *)
+  List.iter
+    (fun (r : P.Report.result) ->
+      let name = r.P.Report.name in
+      match
+        List.find_opt
+          (fun (b : P.Bench_io.workload) -> b.P.Bench_io.name = name)
+          baseline.P.Bench_io.workloads
+      with
+      | None -> ()
+      | Some b ->
         let cur =
           {
             P.Bench_io.gap = r.P.Report.height_gap;
@@ -673,99 +601,182 @@ let run_check ~baseline_path baseline results =
             h_achieved = r.P.Report.achieved_cycles;
           }
         in
-        match List.assoc_opt r.P.Report.name base_gaps with
+        (match b.P.Bench_io.height with
         | Some base when P.Bench_io.height_regressed ~base ~cur ->
           Format.eprintf
             "--check: warning: %s height_gap regressed %.1f%% -> %.1f%% \
              (bound %d, achieved %d); not gated@."
-            r.P.Report.name
+            name
             (100. *. base.P.Bench_io.gap)
             (100. *. r.P.Report.height_gap)
             r.P.Report.bound_cycles r.P.Report.achieved_cycles
-        | _ -> ())
-      results;
-    (* Register pressure: also warn-only, per class.  MAXLIVE moves with
-       every legitimate code change; the gate only flags growth past the
-       noise floor so pressure creep is visible in the trajectory. *)
-    let base_pressure = P.Bench_io.read_pressure baseline in
-    List.iter
-      (fun (r : P.Report.result) ->
-        match List.assoc_opt r.P.Report.name base_pressure with
-        | None -> ()
-        | Some base_classes ->
-          List.iter
-            (fun (cls, cur) ->
-              match List.assoc_opt cls base_classes with
-              | Some base when P.Bench_io.pressure_regressed ~base ~cur ->
-                Format.eprintf
-                  "--check: warning: %s %s maxlive regressed %d -> %d; \
-                   not gated@."
-                  r.P.Report.name cls base cur
-              | _ -> ())
-            r.P.Report.pressure)
-      results;
-    let deltas = P.Bench_io.check ~tolerance ~baseline ~current in
-    if deltas = [] then begin
-      Format.eprintf
-        "--check: no workload of this run appears in %s; nothing gated@."
-        baseline_path;
+        | _ -> ());
+        List.iter
+          (fun (cls, cur) ->
+            match List.assoc_opt cls b.P.Bench_io.pressure with
+            | Some base when P.Bench_io.pressure_regressed ~base ~cur ->
+              Format.eprintf
+                "--check: warning: %s %s maxlive regressed %d -> %d; not \
+                 gated@."
+                name cls base cur
+            | _ -> ())
+          r.P.Report.pressure)
+    results;
+  let deltas = P.Bench_io.check ~tolerance ~baseline ~current in
+  if deltas = [] then begin
+    Format.eprintf
+      "--check: no workload of this run appears in %s; nothing gated@."
+      baseline_path;
+    false
+  end
+  else begin
+    Format.printf "@.perf gate vs %s (tolerance %.0f%%):@.@." baseline_path
+      tolerance;
+    P.Bench_io.pp_deltas Format.std_formatter deltas;
+    match P.Bench_io.regressions deltas with
+    | [] -> true
+    | rs ->
+      Format.printf "@.%d metric(s) regressed past %.0f%%@."
+        (List.length rs) tolerance;
       false
-    end
-    else begin
-      Format.printf "@.perf gate vs %s (tolerance %.0f%%):@.@." baseline_path
-        tolerance;
-      P.Bench_io.pp_deltas Format.std_formatter deltas;
-      match P.Bench_io.regressions deltas with
-      | [] -> true
-      | rs ->
-        Format.printf "@.%d metric(s) regressed past %.0f%%@."
-          (List.length rs) tolerance;
-        false
-    end
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Command line                                                        *)
+
+let bench quick sections domains json check tolerance trace =
+  (* The baseline is read before anything runs: --json may rewrite the
+     very file --check points at, and a gate that compares a run against
+     itself always passes. *)
+  let baseline =
+    Option.map
+      (fun path ->
+        ( path,
+          Option.fold ~none:(Error "no such file") ~some:P.Bench_io.parse
+            (P.Bench_io.read_file path) ))
+      check
+  in
+  match (sections, baseline) with
+  | _ when domains < 1 ->
+    `Error (true, "--domains expects a positive integer")
+  | _ when tolerance < 0. ->
+    `Error (true, "--tolerance expects a non-negative percentage")
+  | `Micro_only, Some _ ->
+    `Error (true, "--check needs the workload suite; drop --micro")
+  | _, Some (path, Error msg) ->
+    Format.eprintf "--check: cannot read baseline %s: %s@." path msg;
+    `Ok 1
+  | _ ->
+    let json_target =
+      Option.map
+        (fun p ->
+          P.Bench_io.targets
+            ~is_dir:(Sys.file_exists p && Sys.is_directory p)
+            ~date:(bench_date ()) p)
+        json
+    in
+    (* Counters (pqs, pass, verify families) must accumulate whenever the
+       run will be persisted, not just when a trace is requested: the JSON
+       artifact reports predicate-engine cache effectiveness. *)
+    if trace <> None || json_target <> None then Obs.set_enabled true;
+    let results =
+      if sections = `Micro_only then []
+      else begin
+        print_table1 ();
+        print_machines ();
+        let results =
+          Obs.span "bench/suite" (fun () -> run_suite ~quick ~domains ())
+        in
+        let verify_total, suite_total = P.Bench_io.suite_seconds results in
+        Format.printf
+          "@.static verifier: %.2fs across %d workloads (%.1f%% of %.2fs \
+           total suite work)@."
+          verify_total (List.length results)
+          (if suite_total > 0. then 100. *. verify_total /. suite_total
+           else 0.)
+          suite_total;
+        print_table2 results;
+        print_table3 results;
+        print_figure67 ();
+        Obs.span "bench/ablations" run_ablations;
+        results
+      end
+    in
+    let micro =
+      if sections = `Tables_only then [] else Obs.span "bench/micro" run_micro
+    in
+    Option.iter
+      (fun (dated, latest) ->
+        let par =
+          Obs.span "bench/parallel" (fun () ->
+              measure_parallel ~quick ~domains)
+        in
+        write_json ~domains ~dated ~latest results micro par)
+      json_target;
+    let gate_ok =
+      match baseline with
+      | Some (baseline_path, Ok b) ->
+        run_check ~tolerance ~baseline_path b results
+      | _ -> true
+    in
+    Option.iter
+      (fun path ->
+        Obs.Trace.export ~path;
+        Format.eprintf "@.span summary:@.%a" Obs.Summary.pp ();
+        Format.eprintf "wrote trace %s@." path)
+      trace;
+    `Ok (if gate_ok then 0 else 1)
 
 let () =
-  let results =
-    if micro_only then []
-    else begin
-      print_table1 ();
-      print_machines ();
-      let results = Obs.span "bench/suite" (fun () -> run_suite ~domains ()) in
-      let verify_total, suite_total = P.Bench_io.suite_seconds results in
-      Format.printf
-        "@.static verifier: %.2fs across %d workloads (%.1f%% of %.2fs \
-         total suite work)@."
-        verify_total (List.length results)
-        (if suite_total > 0. then 100. *. verify_total /. suite_total else 0.)
-        suite_total;
-      print_table2 results;
-      print_table3 results;
-      print_figure67 ();
-      Obs.span "bench/ablations" run_ablations;
-      results
-    end
+  let open Cmdliner in
+  let path name docv doc =
+    Arg.(value & opt (some string) None & info [ name ] ~docv ~doc)
   in
-  let micro =
-    if tables_only then [] else Obs.span "bench/micro" run_micro
+  let sections =
+    Arg.(
+      value
+      & vflag `All
+          [
+            (`Tables_only, info [ "tables" ]
+              ~doc:"Skip the micro-benchmarks.");
+            (`Micro_only, info [ "micro" ] ~doc:"Skip the tables.");
+          ])
   in
-  Option.iter
-    (fun (dated, latest) ->
-      let par = Obs.span "bench/parallel" measure_parallel in
-      write_json ~dated ~latest results micro par)
-    json_target;
-  let gate_ok =
-    match check_baseline with
-    | None -> true
-    | Some (baseline_path, baseline) ->
-      if micro_only then begin
-        Format.eprintf "--check needs the workload suite; drop --micro@.";
-        false
-      end
-      else run_check ~baseline_path baseline results
+  let term =
+    Term.(
+      ret
+        (const bench
+        $ Arg.(
+            value & flag
+            & info [ "quick" ]
+                ~doc:"Run the strcpy/grep/099.go subset, not the full suite.")
+        $ sections
+        $ Arg.(
+            value
+            & opt int (Cpr_par.Pool.default_domains ())
+            & info [ "domains" ] ~docv:"N"
+                ~doc:"Domains for the workload suite (results are \
+                      identical for every $(docv); only the wall clock \
+                      changes).")
+        $ path "json" "PATH"
+            "Also write the Table 2/3 numbers, micro-benchmark ns/run and \
+             parallel wall clocks as JSON: into BENCH_<date>.json when \
+             $(docv) is a directory, and always into a sibling \
+             BENCH_latest.json, after comparing against the previous one."
+        $ path "check" "BASELINE"
+            "Gate per-workload total_s/verify_s and the matched suite time \
+             against the bench JSON $(docv); exit 1 on a regression."
+        $ Arg.(
+            value & opt float 25.0
+            & info [ "tolerance" ] ~docv:"PCT"
+                ~doc:"Percentage a --check metric may exceed its baseline \
+                      by (on top of a 20ms noise floor).")
+        $ path "trace" "FILE"
+            "Export the run as a Chrome-trace JSON to $(docv) and print a \
+             span summary on stderr."))
   in
-  Option.iter
-    (fun path ->
-      Obs.Trace.export ~path;
-      Format.eprintf "@.span summary:@.%a" Obs.Summary.pp ();
-      Format.eprintf "wrote trace %s@." path)
-    trace_target;
-  if not gate_ok then exit 1
+  let doc =
+    "Reproduce the paper's tables and ablations and micro-benchmark the \
+     compiler"
+  in
+  exit (Cmd.eval' (Cmd.v (Cmd.info "bench" ~doc) term))

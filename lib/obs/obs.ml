@@ -206,7 +206,7 @@ module Summary = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* JSON: the one string escaper, and a small but complete reader       *)
+(* JSON: the one escaper, printer and reader                          *)
 
 module Json = struct
   let escape s =
@@ -383,6 +383,61 @@ module Json = struct
     v
 
   let parse s = try Ok (parse_exn s) with Bad msg -> Error msg
+
+  (* Fifteen significant digits always survive a decimal -> double ->
+     decimal trip, so starting there finds the shortest form that
+     parses back to [f]. *)
+  let number f =
+    if not (Float.is_finite f) then "null"
+    else if Float.is_integer f then Printf.sprintf "%.0f" f
+    else
+      let rec shortest p =
+        let s = Printf.sprintf "%.*g" p f in
+        if p >= 17 || float_of_string s = f then s else shortest (p + 1)
+      in
+      shortest 15
+
+  (* A container's brackets and members, each member with the text that
+     precedes its value (the quoted key, for an object). *)
+  let container = function
+    | Arr vs -> Some ('[', ']', List.map (fun v -> ("", v)) vs)
+    | Obj kvs ->
+      Some
+        ('{', '}', List.map (fun (k, v) -> ("\"" ^ escape k ^ "\": ", v)) kvs)
+    | Null | Bool _ | Num _ | Str _ -> None
+
+  let rec one_line v =
+    match (v, container v) with
+    | _, Some (l, r, []) -> Printf.sprintf "%c%c" l r
+    | _, Some (l, r, ms) ->
+      Printf.sprintf "%c %s %c" l
+        (String.concat ", " (List.map (fun (p, v) -> p ^ one_line v) ms))
+        r
+    | Num f, None -> number f
+    | Str s, None -> "\"" ^ escape s ^ "\""
+    | Bool b, None -> string_of_bool b
+    | _ -> "null"
+
+  let to_string v =
+    let b = Buffer.create 1024 in
+    let rec go indent v =
+      let flat = one_line v in
+      match container v with
+      | Some (l, r, ms) when String.length flat > 80 ->
+        let pad n = "\n" ^ String.make n ' ' in
+        Buffer.add_char b l;
+        List.iteri
+          (fun i (p, v) ->
+            if i > 0 then Buffer.add_char b ',';
+            Buffer.add_string b (pad (indent + 2) ^ p);
+            go (indent + 2) v)
+          ms;
+        Buffer.add_string b (pad indent);
+        Buffer.add_char b r
+      | _ -> Buffer.add_string b flat
+    in
+    go 0 v;
+    Buffer.contents b
 end
 
 (* ------------------------------------------------------------------ *)

@@ -98,9 +98,10 @@ module Summary : sig
 end
 
 module Json : sig
-  (** The JSON string escaper every writer in the repository uses
-      (traces, crash bundles, bench artifacts), and a small but complete
-      reader for checking what they wrote. *)
+  (** The repository's one JSON owner: the string escaper every writer
+      uses (traces, crash bundles, bench artifacts), the printer the
+      bench artifacts and crash bundles are written with, and a small
+      but complete reader for everything they wrote. *)
 
   val escape : string -> string
   (** Escape for a JSON string literal: quote, backslash, and every
@@ -118,6 +119,13 @@ module Json : sig
   (** A full parse (objects, arrays, string escapes including [\uXXXX]);
       strict about raw control characters inside strings, which JSON
       forbids.  [Error] names the problem and its byte offset. *)
+
+  val to_string : t -> string
+  (** Print a value (no trailing newline).  Integral numbers print as
+      integers, other finite ones in the shortest form that parses back
+      to the same float, non-finite ones as [null]; strings go through
+      {!escape}.  A container whose one-line form exceeds 80 bytes puts
+      each member on its own line, indented two spaces per level. *)
 end
 
 module Trace : sig

@@ -6,10 +6,10 @@
     path normalization and regression-detection logic are
     unit-testable — each has regressed silently before.
 
-    The JSON layout is fixed: one key/value pair per line.  The readers
-    below only promise to parse what {!render} writes; they are scanners
-    for that layout, not a general JSON parser (see {!Cpr_obs.Obs.Json}
-    for one of those). *)
+    Both directions go through {!Cpr_obs.Obs.Json}: {!render} builds a
+    JSON value and prints it with [Obs.Json.to_string], and {!parse}
+    reads a document with [Obs.Json.parse] into a typed {!baseline}, so
+    any layout of the same JSON reads back the same. *)
 
 val json_escape : string -> string
 (** {!Cpr_obs.Obs.Json.escape}, under the name the bench writers use. *)
@@ -39,8 +39,9 @@ val render :
     [verify_total_s]/[suite_total_s], parallel wall-clock numbers,
     micro-benchmark ns/run figures, and (when [pqs] is non-empty) the
     predicate-engine counters ([pqs.queries], [pqs.memo_hits], ...) for
-    the whole run, each on its own line under a ["pqs"] object so
-    {!read_scalar} can read them back by full dotted name. *)
+    the whole run under a ["pqs"] object keyed by full dotted name.
+    Seconds and ratios keep four decimals, parallel wall clocks three,
+    seeds/s and ns/run one. *)
 
 val suite_seconds : Report.result list -> float * float
 (** [(verify_total_s, suite_total_s)]: sums over the per-workload
@@ -50,31 +51,33 @@ val suite_seconds : Report.result list -> float * float
 
 val read_file : string -> string option
 
-val read_scalar : string -> string -> float option
-(** [read_scalar contents key]: a top-level numeric value. *)
-
-val read_micro : string -> (string * float) list
-(** The [micro_ns_per_run] table. *)
-
-val read_workloads : string -> (string * float * float) list
-(** [(name, verify_s, total_s)] per entry of the [benchmarks] array. *)
-
 type height_entry = {
   gap : float;
   h_bound : int;  (** [bound_cycles] *)
   h_achieved : int;  (** [achieved_cycles] *)
 }
 
-val read_height : string -> (string * height_entry) list
-(** One entry per element of the [benchmarks] array (entries predating
-    the height triple are absent).  [bench --check] warns — without
-    failing — when a workload's gap grows past the baseline's: schedule
-    quality is a trajectory signal, not a hard gate, because the gap
-    also moves when the optimizer legitimately changes the code. *)
+type workload = {
+  name : string;
+  verify_s : float;
+  total_s : float;
+  height : height_entry option;  (** absent in older baselines *)
+  pressure : (string * int) list;
+      (** [(class, maxlive)]; empty in older baselines *)
+}
 
-val read_pressure : string -> (string * (string * int) list) list
-(** [(name, [class, maxlive; ...])] per entry of the [benchmarks] array
-    carrying a ["pressure"] object (older baselines have none). *)
+type baseline = {
+  verify_total_s : float option;
+  pqs : (string * int) list;  (** by full counter name *)
+  micro : (string * float) list;  (** without the [null] rows *)
+  workloads : workload list;  (** the [benchmarks] array, in order *)
+}
+
+val parse : string -> (baseline, string) result
+(** Read a bench JSON document.  Only a workload's [name], [verify_s]
+    and [total_s] are required.  [Error] is {!Cpr_obs.Obs.Json.parse}'s
+    message (with byte offset) for text that is not JSON, or names the
+    field that is missing or of the wrong type. *)
 
 val height_gap_floor_cycles : int
 (** 2: minimum growth of the {e absolute} cycle gap
@@ -108,10 +111,10 @@ type delta = {
 
 val check :
   tolerance:float ->
-  baseline:string ->
+  baseline:baseline ->
   current:(string * float * float) list ->
   delta list
-(** Compare a fresh run against baseline JSON [contents].  [current]
+(** Compare a fresh run against a parsed baseline.  [current]
     rows are [(name, verify_s, total_s)].  A metric regresses when it
     exceeds the baseline by more than [tolerance] percent {e and} by
     more than an absolute 20ms noise floor — sub-hundredth-second
@@ -121,7 +124,7 @@ val check :
     cleanly against a full-suite baseline. *)
 
 val missing_from_current :
-  baseline:string -> current:(string * float * float) list -> string list
+  baseline:baseline -> current:(string * float * float) list -> string list
 (** Baseline workloads with no row in the current run.  {!check} skips
     them (a [--quick] run must still gate against a full-suite
     baseline), but silence would also hide a workload that stopped

@@ -45,23 +45,24 @@ let write ?(dir = default_dir) ?machine ?(retries = 0) ?(findings = [])
     let rendered_findings =
       List.map (fun f -> Format.asprintf "%a" Cpr_verify.Finding.pp f) findings
     in
-    let meta = Buffer.create 256 in
-    let add fmt = Printf.ksprintf (Buffer.add_string meta) fmt in
-    add "{\n  \"id\": \"%s\",\n" (Obs.Json.escape id);
-    add "  \"stage\": \"%s\",\n" (Obs.Json.escape stage);
-    add "  \"reason\": \"%s\",\n" (Obs.Json.escape (one_line reason));
-    add "  \"retries\": %d,\n" retries;
-    (match machine with
-    | Some m -> add "  \"machine\": \"%s\",\n" (Obs.Json.escape m)
-    | None -> ());
-    add "  \"inputs\": %d,\n" (List.length inputs);
-    add "  \"findings\": [";
-    List.iteri
-      (fun i f ->
-        add "%s\n    \"%s\"" (if i = 0 then "" else ",") (Obs.Json.escape f))
-      rendered_findings;
-    add "%s]\n}\n" (if rendered_findings = [] then "" else "\n  ");
-    write_file (Filename.concat bdir "meta.json") (Buffer.contents meta);
+    let meta =
+      Obs.Json.(
+        Obj
+          ([
+             ("id", Str id);
+             ("stage", Str stage);
+             ("reason", Str (one_line reason));
+             ("retries", Num (float_of_int retries));
+           ]
+          @ Option.to_list (Option.map (fun m -> ("machine", Str m)) machine)
+          @ [
+              ("inputs", Num (float_of_int (List.length inputs)));
+              ("findings", Arr (List.map (fun f -> Str f) rendered_findings));
+            ]))
+    in
+    write_file
+      (Filename.concat bdir "meta.json")
+      (Obs.Json.to_string meta ^ "\n");
     if rendered_findings <> [] then
       write_file
         (Filename.concat bdir "findings.txt")

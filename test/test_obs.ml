@@ -1,7 +1,8 @@
 (* The observability subsystem: span nesting and ordering, counter
    monotonicity, the disabled-mode zero-allocation fast path, and the
    Chrome-trace export round-trip.  Also covers Bench_io, the bench
-   harness's JSON writer/reader and perf-regression gate. *)
+   harness's JSON writer/reader and perf-regression gate, and the
+   Obs.Json printer both write with. *)
 
 module Obs = Cpr_obs.Obs
 module B = Cpr_pipeline.Bench_io
@@ -199,6 +200,39 @@ let test_trace_parse_rejects_garbage () =
   | Ok _ -> Alcotest.fail "accepted truncated JSON"
   | Error _ -> ()
 
+let test_json_printer () =
+  let module J = Obs.Json in
+  let show v = J.to_string v in
+  Alcotest.(check (list string))
+    "integers, shortest floats, non-finite as null"
+    [ "3"; "-0.5"; "0.1"; "1e-07"; "null"; "\"a\\\"b\"" ]
+    (List.map show
+       [
+         J.Num 3.; J.Num (-0.5); J.Num 0.1; J.Num 1e-7; J.Num nan; J.Str "a\"b";
+       ]);
+  List.iter
+    (fun f ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%h round-trips" f)
+        true
+        (J.parse (show (J.Num f)) = Ok (J.Num f)))
+    [ 1. /. 3.; 2. /. 3.; 1e300; 123456789.123; 5e-324; Float.max_float ];
+  Alcotest.(check string)
+    "a short container stays on one line" {|{ "a": 1, "b": [], "c": {} }|}
+    (show (J.Obj [ ("a", J.Num 1.); ("b", J.Arr []); ("c", J.Obj []) ]));
+  let long =
+    J.Obj
+      [
+        ("xs", J.Arr (List.init 30 (fun i -> J.Num (float_of_int i))));
+        ("s", J.Str "short");
+      ]
+  in
+  let text = show long in
+  Alcotest.(check bool)
+    "a long container breaks" true
+    (String.contains text '\n');
+  Alcotest.(check bool) "and parses back" true (J.parse text = Ok long)
+
 (* ------------------------------------------------------------------ *)
 (* Bench_io: escaping, --json target normalization, the perf gate      *)
 
@@ -258,16 +292,26 @@ let bench_json entries =
   Buffer.add_string buf "\n  ]\n}\n";
   Buffer.contents buf
 
+let parsed text =
+  match B.parse text with
+  | Ok b -> b
+  | Error msg -> Alcotest.failf "bench JSON does not parse: %s" msg
+
+let rows (b : B.baseline) =
+  List.map
+    (fun (w : B.workload) -> (w.B.name, w.B.verify_s, w.B.total_s))
+    b.B.workloads
+
 let test_read_workloads () =
   let s = bench_json [ ("w1", 0.1, 1.0); ("w2", 0.2, 2.0) ] in
   Alcotest.(check (list (triple string (float 1e-9) (float 1e-9))))
     "parsed back"
     [ ("w1", 0.1, 1.0); ("w2", 0.2, 2.0) ]
-    (B.read_workloads s)
+    (rows (parsed s))
 
 let test_check_passes_on_equal () =
   let entries = [ ("w1", 0.1, 1.0); ("w2", 0.2, 2.0) ] in
-  let baseline = bench_json entries in
+  let baseline = parsed (bench_json entries) in
   let deltas =
     B.check ~tolerance:25.0 ~baseline
       ~current:(List.map (fun (n, v, t) -> (n, v, t)) entries)
@@ -276,7 +320,7 @@ let test_check_passes_on_equal () =
   Alcotest.(check int) "no regressions" 0 (List.length (B.regressions deltas))
 
 let test_check_fails_on_regression () =
-  let baseline = bench_json [ ("w1", 0.1, 1.0) ] in
+  let baseline = parsed (bench_json [ ("w1", 0.1, 1.0) ]) in
   let deltas =
     B.check ~tolerance:25.0 ~baseline ~current:[ ("w1", 0.1, 2.0) ]
   in
@@ -289,7 +333,7 @@ let test_check_fails_on_regression () =
 let test_check_noise_floor () =
   (* 10x relative regression but only 9ms absolute: below the 20ms
      floor, so a shared-runner blip does not fail CI. *)
-  let baseline = bench_json [ ("w1", 0.0, 0.001) ] in
+  let baseline = parsed (bench_json [ ("w1", 0.0, 0.001) ]) in
   let deltas =
     B.check ~tolerance:25.0 ~baseline ~current:[ ("w1", 0.0, 0.01) ]
   in
@@ -298,7 +342,7 @@ let test_check_noise_floor () =
     (List.length (B.regressions deltas))
 
 let test_check_ignores_unmatched () =
-  let baseline = bench_json [ ("w1", 0.1, 1.0) ] in
+  let baseline = parsed (bench_json [ ("w1", 0.1, 1.0) ]) in
   let deltas =
     B.check ~tolerance:25.0 ~baseline
       ~current:[ ("w1", 0.1, 1.0); ("only-in-current", 9.0, 9.0) ]
@@ -316,7 +360,9 @@ let test_check_warns_missing_baseline () =
      run against a full-suite baseline must still pass), but the bench
      driver warns with this list so a workload that silently stopped
      running is visible. *)
-  let baseline = bench_json [ ("w1", 0.1, 1.0); ("gone", 0.2, 2.0) ] in
+  let baseline =
+    parsed (bench_json [ ("w1", 0.1, 1.0); ("gone", 0.2, 2.0) ])
+  in
   Alcotest.(check (list string))
     "baseline-only workload reported" [ "gone" ]
     (B.missing_from_current ~baseline ~current:[ ("w1", 0.1, 1.0) ]);
@@ -357,23 +403,24 @@ let quality_json =
     ]
 
 let test_read_height_and_pressure () =
-  (match B.read_height quality_json with
-  | [ ("w1", h1); ("w2", h2) ] ->
+  let b = parsed quality_json in
+  let height (w : B.workload) = w.B.height in
+  (match List.map height b.B.workloads with
+  | [ Some h1; Some h2 ] ->
     Alcotest.(check (float 1e-9)) "w1 gap" 0.1 h1.B.gap;
     Alcotest.(check int) "w1 bound" 100 h1.B.h_bound;
     Alcotest.(check int) "w1 achieved" 110 h1.B.h_achieved;
     Alcotest.(check int) "w2 abs gap" 0 (h2.B.h_achieved - h2.B.h_bound)
   | hs -> Alcotest.failf "expected 2 height entries, got %d" (List.length hs));
-  match B.read_pressure quality_json with
-  | [ ("w1", classes) ] ->
+  match List.map (fun (w : B.workload) -> w.B.pressure) b.B.workloads with
+  | [ classes; [] ] ->
     Alcotest.(check (list (pair string int)))
       "w1 classes"
       [ ("gpr", 14); ("pred", 5); ("btr", 4) ]
       classes
-  | ps ->
-    Alcotest.failf "expected 1 pressure entry (w2 predates the object), \
-                    got %d"
-      (List.length ps)
+  | _ ->
+    Alcotest.fail "expected w1's pressure classes and none for w2 (it \
+                   predates the object)"
 
 let test_height_gap_floor () =
   let e gap h_bound h_achieved = { B.gap; h_bound; h_achieved } in
@@ -414,20 +461,139 @@ let test_render_pqs_counters () =
       ~par:((0., 0.), (0., 0.))
       ()
   in
-  Alcotest.(check (option (float 1e-9)))
-    "memo_hits read back" (Some 90.)
-    (B.read_scalar contents "pqs.memo_hits");
-  Alcotest.(check (option (float 1e-9)))
-    "queries read back" (Some 55.)
-    (B.read_scalar contents "pqs.queries");
+  let pqs = (parsed contents).B.pqs in
+  Alcotest.(check (option int))
+    "memo_hits read back" (Some 90)
+    (List.assoc_opt "pqs.memo_hits" pqs);
+  Alcotest.(check (option int))
+    "queries read back" (Some 55)
+    (List.assoc_opt "pqs.queries" pqs);
   let without =
     B.render ~date:"2026-08-09" ~domains:1 ~results:[] ~micro:[]
       ~par:((0., 0.), (0., 0.))
       ()
   in
-  Alcotest.(check (option (float 1e-9)))
+  Alcotest.(check (option int))
     "absent when not provided" None
-    (B.read_scalar without "pqs.memo_hits")
+    (List.assoc_opt "pqs.memo_hits" (parsed without).B.pqs)
+
+(* One real Report.run result, rendered the way bench --json writes it. *)
+let strcpy_result =
+  lazy
+    (let w = Option.get (Cpr_workloads.Registry.find "strcpy") in
+     Cpr_pipeline.Report.run ~name:"strcpy"
+       (w.Cpr_workloads.Workload.build ())
+       (w.Cpr_workloads.Workload.inputs ()))
+
+let render_results results =
+  B.render
+    ~pqs:[ ("pqs.queries", 7); ("pqs.memo_hits", 3) ]
+    ~date:"2026-08-09" ~domains:2 ~results
+    ~micro:[ ("bench/b", Some 12.34); ("bench/a", None) ]
+    ~par:((1., 2.), (3., 4.))
+    ()
+
+let test_render_parse_roundtrip () =
+  let module R = Cpr_pipeline.Report in
+  let r = Lazy.force strcpy_result in
+  let b = parsed (render_results [ r ]) in
+  let four x = float_of_string (Printf.sprintf "%.4f" x) in
+  Alcotest.(check (option (float 0.)))
+    "verify_total_s" (Some (four r.R.verify_s)) b.B.verify_total_s;
+  Alcotest.(check (list (pair string int)))
+    "pqs, sorted by name"
+    [ ("pqs.memo_hits", 3); ("pqs.queries", 7) ]
+    b.B.pqs;
+  Alcotest.(check (list (pair string (float 0.))))
+    "micro without the null row" [ ("bench/b", 12.3) ] b.B.micro;
+  match b.B.workloads with
+  | [ w ] ->
+    Alcotest.(check string) "name" "strcpy" w.B.name;
+    Alcotest.(check (float 0.)) "verify_s" (four r.R.verify_s) w.B.verify_s;
+    Alcotest.(check (float 0.)) "total_s" (four r.R.total_s) w.B.total_s;
+    Alcotest.(check (list (pair string int)))
+      "pressure" r.R.pressure w.B.pressure;
+    (match w.B.height with
+    | Some h ->
+      Alcotest.(check (float 0.)) "gap" (four r.R.height_gap) h.B.gap;
+      Alcotest.(check int) "bound" r.R.bound_cycles h.B.h_bound;
+      Alcotest.(check int) "achieved" r.R.achieved_cycles h.B.h_achieved
+    | None -> Alcotest.fail "height triple missing")
+  | ws -> Alcotest.failf "expected 1 workload, got %d" (List.length ws)
+
+(* The reader goes by JSON structure, not by line layout: the same
+   document printed on one line, and a hand-written compact baseline,
+   read back the same as the printer's layout. *)
+let test_parse_layout_independent () =
+  let text = render_results [ Lazy.force strcpy_result ] in
+  let one_line =
+    String.concat "" (List.map String.trim (String.split_on_char '\n' text))
+  in
+  Alcotest.(check bool)
+    "the rendered document spans lines" true
+    (String.contains (String.trim text) '\n');
+  Alcotest.(check bool)
+    "same record from one line" true
+    (parsed one_line = parsed text);
+  let compact =
+    parsed {|{"benchmarks":[{"name":"strcpy","verify_s":0.1,"total_s":1.0}]}|}
+  in
+  Alcotest.(check (list string))
+    "compact baseline gates its workload"
+    [ "strcpy"; "strcpy"; "(suite)" ]
+    (List.map
+       (fun (d : B.delta) -> d.B.workload)
+       (B.check ~tolerance:25.0 ~baseline:compact
+          ~current:[ ("strcpy", 0.1, 1.0) ]))
+
+let test_names_roundtrip () =
+  let r = Lazy.force strcpy_result in
+  let names = [ "q\"uote"; "back\\slash"; "both \"\\\" end" ] in
+  let b =
+    parsed
+      (render_results
+         (List.map (fun name -> { r with Cpr_pipeline.Report.name }) names))
+  in
+  Alcotest.(check (list string))
+    "names unchanged" names
+    (List.map (fun (w : B.workload) -> w.B.name) b.B.workloads)
+
+let test_committed_baseline_parses () =
+  match B.read_file "../BENCH_latest.json" with
+  | None -> Alcotest.fail "BENCH_latest.json not found"
+  | Some text ->
+    let b = parsed text in
+    Alcotest.(check int) "24 workloads" 24 (List.length b.B.workloads);
+    Alcotest.(check bool) "pqs counters" true (b.B.pqs <> []);
+    Alcotest.(check bool) "micro table" true (b.B.micro <> []);
+    Alcotest.(check bool)
+      "every workload has its height triple" true
+      (List.for_all
+         (fun (w : B.workload) -> w.B.height <> None)
+         b.B.workloads)
+
+let test_parse_errors () =
+  let rejects what text =
+    match B.parse text with
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+    | Error msg -> msg
+  in
+  let truncated =
+    rejects "truncated" {|{"benchmarks":[{"name":"strcpy","verify_s":0.1,|}
+  in
+  Alcotest.(check bool)
+    "parse error names its byte offset" true
+    (Astring_like.contains truncated "offset");
+  ignore (rejects "not an object" "[1, 2]" : string);
+  ignore
+    (rejects "missing total_s"
+       {|{"benchmarks":[{"name":"w","verify_s":0.1}]}|}
+      : string);
+  ignore
+    (rejects "wrong type"
+       {|{"benchmarks":[{"name":"w","verify_s":"fast","total_s":1}]}|}
+      : string);
+  ignore (rejects "pqs not integral" {|{"pqs":{"pqs.queries":1.5}}|} : string)
 
 let suite =
   ( "obs",
@@ -452,6 +618,7 @@ let suite =
         (with_obs test_trace_roundtrip);
       Alcotest.test_case "trace parser rejects garbage" `Quick
         (with_obs test_trace_parse_rejects_garbage);
+      Alcotest.test_case "json printer" `Quick test_json_printer;
       Alcotest.test_case "bench json_escape" `Quick test_json_escape;
       Alcotest.test_case "bench --json bare filename" `Quick
         test_targets_bare_filename;
@@ -475,4 +642,13 @@ let suite =
         test_pressure_floor;
       Alcotest.test_case "bench json pqs counters" `Quick
         test_render_pqs_counters;
+      Alcotest.test_case "bench render/parse round-trip (strcpy)" `Quick
+        test_render_parse_roundtrip;
+      Alcotest.test_case "bench parse is layout independent" `Quick
+        test_parse_layout_independent;
+      Alcotest.test_case "bench workload names round-trip" `Quick
+        test_names_roundtrip;
+      Alcotest.test_case "bench committed BENCH_latest.json parses" `Quick
+        test_committed_baseline_parses;
+      Alcotest.test_case "bench parse errors" `Quick test_parse_errors;
     ] )
