@@ -4,20 +4,22 @@ type key = Pqs_intf.key =
   | Cond of int
   | Entry of int
 
-(* A hash-consed handle: [node] is the underlying DNF value (computed by
-   the reference engine, so the algebra is the reference algebra by
-   construction) and [uid] identifies the node in the interning arena of
-   the domain that built it — equal uids mean structurally equal nodes,
-   so memo tables key binary operations on uid pairs in O(1).
+(* A hash-consed handle: [node] is the underlying DNF value, in the
+   reference engine's representation, and [uid] identifies the node in
+   the interning arena of the domain that built it — equal uids mean
+   structurally equal nodes, so memo tables key binary operations on uid
+   pairs in O(1).  [conjs] is the same DNF with a literal mask per
+   conjunction (see [conj] below), the form the cache-miss algebra
+   computes on.
 
    [pos_mask]/[neg_mask] are 62-bit polarity fingerprints computed once
    at intern time: bit [hash(key) mod 62] of [pos_mask] is set when the
    node contains a positive occurrence of [key] (and symmetrically for
-   [neg_mask]).  The reference [disjoint] can only prove two DNFs
-   disjoint when some key occurs with opposite polarities across them,
-   so two ANDs over the fingerprints refute most queries without
-   touching the memo tables — this is where interning pays on the
-   scheduler's hot path, where almost all guard pairs are compatible.
+   [neg_mask]).  [disjoint] can only prove two DNFs disjoint when some
+   key occurs with opposite polarities across them, so two ANDs over the
+   fingerprints refute most queries without touching the memo tables —
+   this is where interning pays on the scheduler's hot path, where
+   almost all guard pairs are compatible.
 
    Handles are self-contained: invalidating the arena (per program, or
    when a table outgrows its cap) never dangles an outstanding handle —
@@ -28,13 +30,36 @@ type key = Pqs_intf.key =
 type t = {
   uid : int;
   node : R.t;
+  conjs : conj list;
   pos_mask : int;
   neg_mask : int;
 }
 
-let lit_bit key =
-  let h = match key with Cond i -> 2 * i | Entry i -> (2 * i) + 1 in
-  1 lsl (h mod 62)
+(* A conjunction (sorted by [key_compare], unique keys — the reference
+   invariant) with its literal mask: bit [2 * (key_hash mod 31) + pos]
+   is set for each literal.  A conjunction can only contain another's
+   literals when its mask covers theirs, and two conjunctions can only
+   contradict when one's mask meets the other's polarity-flipped mask,
+   so most subset and contradiction tests end after one [land]. *)
+and conj = {
+  mask : int;
+  lits : R.lit list;
+}
+
+let key_compare = Pqs_intf.key_compare
+let key_hash = function Cond i -> 2 * i | Entry i -> (2 * i) + 1
+
+let lit_mask (l : R.lit) =
+  1 lsl ((2 * (key_hash l.key mod 31)) + Bool.to_int l.pos)
+
+let conj_of lits =
+  { mask = List.fold_left (fun m l -> m lor lit_mask l) 0 lits; lits }
+
+(* Swap the two polarity bits of every key bucket. *)
+let evens = 0x1555_5555_5555_5555
+let flip m = ((m land evens) lsl 1) lor ((m lsr 1) land evens)
+
+let lit_bit key = 1 lsl (key_hash key mod 62)
 
 let masks_of node =
   let pos = ref 0 and neg = ref 0 in
@@ -48,10 +73,117 @@ let masks_of node =
 (* The three constants are process-global with reserved uids, so a
    handle built on one domain (e.g. [tru] captured at module
    initialization) keys the same memo entry on every domain. *)
-let unknown = { uid = 0; node = R.unknown; pos_mask = 0; neg_mask = 0 }
-let fls = { uid = 1; node = R.fls; pos_mask = 0; neg_mask = 0 }
-let tru = { uid = 2; node = R.tru; pos_mask = 0; neg_mask = 0 }
+let unknown =
+  { uid = 0; node = R.unknown; conjs = []; pos_mask = 0; neg_mask = 0 }
+
+let fls = { uid = 1; node = R.fls; conjs = []; pos_mask = 0; neg_mask = 0 }
+let tru_conjs = [ conj_of [] ]
+let tru =
+  { uid = 2; node = R.tru; conjs = tru_conjs; pos_mask = 0; neg_mask = 0 }
+
 let first_uid = 3
+
+(* --- The cache-miss algebra ---
+
+   Each operation below computes exactly the DNF the reference computes
+   — the same conjunctions in the same list order, and the same
+   [max_conjs] cap — because it performs the reference's fold in the
+   reference's order; only the primitives differ.  [None] is
+   [Unknown]. *)
+
+(* Every literal of [a] occurs in [b]: a merge walk over the sorted
+   lists. *)
+let rec lits_subset (a : R.lit list) (b : R.lit list) =
+  match (a, b) with
+  | [], _ -> true
+  | _, [] -> false
+  | x :: xs, y :: ys ->
+    let c = key_compare x.key y.key in
+    if c = 0 then x.pos = y.pos && lits_subset xs ys
+    else c > 0 && lits_subset a ys
+
+(* [a ⊆ b]: conjunction [b] implies conjunction [a]. *)
+let subset a b =
+  a.mask land lnot b.mask = 0 && lits_subset a.lits b.lits
+
+(* Some key occurs in both with opposite polarities — exactly when
+   [R.conj_and] answers [None] — without allocating. *)
+let rec contradicts (a : R.lit list) (b : R.lit list) =
+  match (a, b) with
+  | [], _ | _, [] -> false
+  | x :: xs, y :: ys ->
+    let c = key_compare x.key y.key in
+    if c = 0 then x.pos <> y.pos || contradicts xs ys
+    else if c < 0 then contradicts xs b
+    else contradicts a ys
+
+(* The reference [add_conj]: [c] is dropped when a member is a subset
+   of it; otherwise it is prepended and the members it is a subset of
+   are filtered out — rebuilding the list only when one exists. *)
+let add_conj acc c =
+  if List.exists (fun c' -> subset c' c) acc then acc
+  else if List.exists (fun c' -> subset c c') acc then
+    c :: List.filter (fun c' -> not (subset c c')) acc
+  else c :: acc
+
+(* The cap is applied once the whole fold is done, as in the reference:
+   a later, shorter conjunction can shrink an oversized set back. *)
+let capped conjs =
+  if List.length conjs > R.max_conjs then None else Some conjs
+
+let or_conjs ca cb =
+  match (ca, cb) with
+  | [], x | x, [] -> Some x
+  | [ { lits = []; _ } ], _ | _, [ { lits = []; _ } ] -> Some tru_conjs
+  | _ -> capped (List.fold_left add_conj ca cb)
+
+(* The product is folded in the reference's order: [c1] over [ca] outer,
+   [c2] over [cb] inner, [add_conj] from []. *)
+let and_conjs ca cb =
+  match (ca, cb) with
+  | [ { lits = []; _ } ], x | x, [ { lits = []; _ } ] -> Some x
+  | [], _ | _, [] -> Some []
+  | _ ->
+    let acc = ref [] in
+    List.iter
+      (fun c1 ->
+        List.iter
+          (fun c2 ->
+            match R.conj_and c1.lits c2.lits with
+            | Some lits ->
+              acc := add_conj !acc { mask = c1.mask lor c2.mask; lits }
+            | None -> ())
+          cb)
+      ca;
+    capped !acc
+
+(* De Morgan, folded from true like the reference: the conjunction, over
+   the conjunctions, of the disjunction of their negated literals. *)
+let not_conjs conjs =
+  List.fold_left
+    (fun acc c ->
+      match acc with
+      | None -> None
+      | Some acc ->
+        and_conjs acc
+          (List.map
+             (fun (l : R.lit) ->
+               let l = { l with pos = not l.pos } in
+               { mask = lit_mask l; lits = [ l ] })
+             c.lits))
+    (Some tru_conjs) conjs
+
+let disjoint_conjs ca cb =
+  List.for_all
+    (fun c1 ->
+      let f1 = flip c1.mask in
+      List.for_all
+        (fun c2 -> c2.mask land f1 <> 0 && contradicts c1.lits c2.lits)
+        cb)
+    ca
+
+let implies_conjs ca cb =
+  List.for_all (fun c1 -> List.exists (fun c2 -> subset c2 c1) cb) ca
 
 module Node_tbl = Hashtbl.Make (struct
   type t = R.t
@@ -138,13 +270,13 @@ let q_interned = Obs.counter "pqs.interned"
 let q_hits = Obs.counter "pqs.memo_hits"
 let q_misses = Obs.counter "pqs.memo_misses"
 
-let intern st node =
+let intern st node conjs =
   match Node_tbl.find_opt st.intern node with
   | Some t -> t
   | None ->
     Obs.incr q_interned;
     let pos_mask, neg_mask = masks_of node in
-    let t = { uid = st.next_uid; node; pos_mask; neg_mask } in
+    let t = { uid = st.next_uid; node; conjs; pos_mask; neg_mask } in
     st.next_uid <- st.next_uid + 1;
     if Node_tbl.length st.intern >= intern_cap then begin
       Node_tbl.reset st.intern;
@@ -152,6 +284,17 @@ let intern st node =
     end;
     Node_tbl.replace st.intern node t;
     t
+
+(* A result of the cache-miss algebra, or a literal from the reference
+   constructors. *)
+let intern_conjs st = function
+  | None -> unknown
+  | Some conjs ->
+    intern st (R.Dnf (List.map (fun c -> c.lits) conjs)) conjs
+
+let intern_node node =
+  intern (state ()) node
+    (match node with R.Dnf cs -> List.map conj_of cs | R.Unknown -> [])
 
 let memo1 tbl key compute =
   match Int_tbl.find_opt tbl key with
@@ -189,8 +332,9 @@ let trim () =
   if Node_tbl.length (state ()).intern > trim_threshold then invalidate ()
 
 let const b = if b then tru else fls
-let cond_lit id = intern (state ()) (R.cond_lit id)
-let entry_lit r = intern (state ()) (R.entry_lit r)
+
+let cond_lit id = intern_node (R.cond_lit id)
+let entry_lit r = intern_node (R.entry_lit r)
 let is_const_false t = R.is_const_false t.node
 let is_const_true t = R.is_const_true t.node
 let is_unknown t = R.is_unknown t.node
@@ -207,7 +351,8 @@ let and_ a b =
   else if is_const_false a || is_const_false b then fls
   else
     let st = state () in
-    memo2 st.and_tbl a b (fun () -> intern st (R.and_ a.node b.node))
+    memo2 st.and_tbl a b (fun () ->
+        intern_conjs st (and_conjs a.conjs b.conjs))
 
 let or_ a b =
   if is_unknown a || is_unknown b then unknown
@@ -216,7 +361,7 @@ let or_ a b =
   else if is_const_true a || is_const_true b then tru
   else
     let st = state () in
-    memo2 st.or_tbl a b (fun () -> intern st (R.or_ a.node b.node))
+    memo2 st.or_tbl a b (fun () -> intern_conjs st (or_conjs a.conjs b.conjs))
 
 let not_ a =
   if is_unknown a then unknown
@@ -224,7 +369,7 @@ let not_ a =
   else if is_const_false a then tru
   else
     let st = state () in
-    memo1 st.not_tbl a.uid (fun () -> intern st (R.not_ a.node))
+    memo1 st.not_tbl a.uid (fun () -> intern_conjs st (not_conjs a.conjs))
 
 let disjoint a b =
   Obs.incr q_queries;
@@ -238,7 +383,7 @@ let disjoint a b =
   end
   else if a.pos_mask land b.neg_mask = 0 && a.neg_mask land b.pos_mask = 0
   then begin
-    (* The reference proof needs every conjunction pair to contradict,
+    (* A disjointness proof needs every conjunction pair to contradict,
        and a pair can only contradict on a key present with opposite
        polarities on the two sides.  No fingerprint overlap means no
        such key exists anywhere, so (both operands being satisfiable
@@ -253,7 +398,7 @@ let disjoint a b =
     false
   else
     let st = state () in
-    memo2 st.dis_tbl a b (fun () -> R.disjoint a.node b.node)
+    memo2 st.dis_tbl a b (fun () -> disjoint_conjs a.conjs b.conjs)
 
 let implies a b =
   Obs.incr q_queries;
@@ -268,7 +413,7 @@ let implies a b =
   else if a.uid = b.uid then true
   else
     let st = state () in
-    memo2 st.imp_tbl a b (fun () -> R.implies a.node b.node)
+    memo2 st.imp_tbl a b (fun () -> implies_conjs a.conjs b.conjs)
 
 let eval assign t = R.eval assign t.node
 let keys t = R.keys t.node

@@ -18,10 +18,13 @@ open Cpr_ir
 
     This engine interns every expression into a per-domain arena with a
     unique small-int id — maximal sharing, O(1) structural equality — and
-    memoizes the binary operations and queries on id pairs.  All cache
-    misses are computed by {!Pqs_reference} (the original engine, kept as
-    the equivalence oracle), so both engines agree by construction; the
-    oracle tests pin the caching layer on top.  See DESIGN.md
+    memoizes the binary operations and queries on id pairs.  Cache misses
+    are computed by its own algebra, which runs the fold of
+    {!Pqs_reference} (the original engine, kept as the equivalence
+    oracle) in the same order on linear primitives — per-conjunction
+    literal masks and merge walks — so it yields exactly the reference's
+    DNF: same conjunctions, same order, same cap.  The oracle tests check
+    that algebra and the caching layer on top.  See DESIGN.md
     "Hash-consed predicate engine". *)
 
 type key = Pqs_intf.key =

@@ -52,11 +52,9 @@ let uc_dests_of (op : Op.t) =
 let block_legal liveness (region : Region.t) graph ops
     (block : Restructure.block_ref) =
   let n = Array.length ops in
-  let idx_of_id id =
-    let found = ref (-1) in
-    Array.iteri (fun i (o : Op.t) -> if o.Op.id = id then found := i) ops;
-    !found
-  in
+  let index = Hashtbl.create n in
+  Array.iteri (fun i (o : Op.t) -> Hashtbl.replace index o.Op.id i) ops;
+  let idx_of_id id = Option.value ~default:(-1) (Hashtbl.find_opt index id) in
   let cmp_idxs = List.map idx_of_id block.Restructure.compare_ids in
   let br_idxs = List.map idx_of_id block.Restructure.branch_ids in
   if List.exists (fun i -> i < 0) (cmp_idxs @ br_idxs) then false
@@ -144,6 +142,15 @@ let block_legal liveness (region : Region.t) graph ops
           && not (skip e))
         (Depgraph.edges graph)
     in
+    let def_sites = Reg.Tbl.create 64 in
+    Array.iteri
+      (fun k op ->
+        List.iter
+          (fun d ->
+            Reg.Tbl.replace def_sites d
+              (k :: Option.value ~default:[] (Reg.Tbl.find_opt def_sites d)))
+          (Op.defs op))
+      ops;
     let substitutable i =
       match ops.(i).Op.guard with
       | Op.True -> true
@@ -153,11 +160,8 @@ let block_legal liveness (region : Region.t) graph ops
         ||
         (* guard defined by ops that stay on-trace above the bypass *)
         List.for_all
-          (fun k ->
-            if List.exists (Reg.equal q) (Op.defs ops.(k)) then
-              (not in_move.(k)) && k <= last_branch
-            else true)
-          (List.init n Fun.id)
+          (fun k -> (not in_move.(k)) && k <= last_branch)
+          (Option.value ~default:[] (Reg.Tbl.find_opt def_sites q))
     in
     (* Prospective split set: moved ops whose effect the on-trace path
        needs (stores, producers for staying consumers, live-out values),

@@ -39,18 +39,21 @@ let promote_pass liveness (region : Region.t) =
       end)
     ops;
   let promoted = List.rev !promoted in
-  let ids = List.map fst promoted in
+  let ids = Hashtbl.create 64 in
+  List.iter (fun (id, _) -> Hashtbl.replace ids id ()) promoted;
   region.Region.ops <-
     List.map
       (fun (o : Op.t) ->
-        if List.mem o.Op.id ids then { o with Op.guard = Op.True } else o)
+        if Hashtbl.mem ids o.Op.id then { o with Op.guard = Op.True } else o)
       region.Region.ops;
   promoted
 
 (* A direct flow dependence: [consumer] reads a register [producer]
-   defines, with no intervening definition. *)
-let direct_flow_producers region idx =
-  let ops = Array.of_list region.Region.ops in
+   defines, with no intervening definition.  [ops] is the sweep's
+   snapshot of the region: demotions earlier in the sweep rewrite only
+   the guards of ops already visited, so the defs scanned here and the
+   uses of the op at [idx] are still those of the region. *)
+let direct_flow_producers ops idx =
   let op = ops.(idx) in
   let producers = ref [] in
   List.iter
@@ -122,7 +125,7 @@ let demote_pass prog (region : Region.t) promoted =
                 | Op.If _ ->
                   (not (Hashtbl.mem still_promoted producer.Op.id))
                   && Pqs.implies orig_e (Pred_env.guard_expr env k))
-              (direct_flow_producers region idx)
+              (direct_flow_producers ops idx)
           in
           let should_demote =
             useless_promotion || branch_dependent liveness region env idx op

@@ -175,24 +175,63 @@ type ast =
   | Or of ast * ast
   | Not of ast
 
+let oracle_lits = 12
+
+(* The FRP-chain shape of the liveness scan's path conditions: a
+   conjunction of negated conjunctions, here over disjoint groups of
+   distinct literals with random polarities, so a chain's DNF is the
+   product of its group sizes — up to tens of conjunctions. *)
+let gen_frp_chain =
+  QCheck2.Gen.(
+    let* perm = shuffle_l (List.init oracle_lits Fun.id) in
+    let* sizes = list_size (int_range 2 5) (int_range 1 3) in
+    let* pols = array_repeat oracle_lits bool in
+    let lit i = if pols.(i) then L i else Not (L i) in
+    let rec groups lits = function
+      | [] -> []
+      | k :: ks ->
+        let g = List.filteri (fun j _ -> j < k) lits in
+        if g = [] then []
+        else g :: groups (List.filteri (fun j _ -> j >= k) lits) ks
+    in
+    return
+      (List.fold_left
+         (fun acc g ->
+           And (acc, Not (List.fold_left (fun c i -> And (c, lit i)) T g)))
+         T (groups perm sizes)))
+
+(* The shape of a liveness expression: a disjunction of FRP chains.  The
+   wider ones cross [max_conjs]. *)
+let gen_frp_union =
+  QCheck2.Gen.(
+    map
+      (List.fold_left (fun acc c -> Or (acc, c)) F)
+      (list_size (int_range 2 8) gen_frp_chain))
+
 let gen_ast =
   QCheck2.Gen.(
-    sized
+    sized_size (int_bound 6)
     @@ fix (fun self n ->
            if n = 0 then
-             oneof
+             frequency
                [
-                 return T;
-                 return F;
-                 return U;
-                 map (fun i -> L (i mod 4)) small_nat;
+                 (1, return T);
+                 (1, return F);
+                 (1, return U);
+                 (3, map (fun i -> L (i mod oracle_lits)) small_nat);
+                 (4, gen_frp_chain);
+                 (1, gen_frp_union);
                ]
            else
-             oneof
+             frequency
                [
-                 map2 (fun a b -> And (a, b)) (self (n / 2)) (self (n / 2));
-                 map2 (fun a b -> Or (a, b)) (self (n / 2)) (self (n / 2));
-                 map (fun a -> Not a) (self (n - 1));
+                 ( 3,
+                   map2 (fun a b -> And (a, b)) (self (n / 2)) (self (n / 2))
+                 );
+                 ( 3,
+                   map2 (fun a b -> Or (a, b)) (self (n / 2)) (self (n / 2))
+                 );
+                 (1, map (fun a -> Not a) (self (n - 1)));
                ]))
 
 let rec build_hc = function
@@ -213,21 +252,64 @@ let rec build_ref = function
   | Or (a, b) -> R.or_ (build_ref a) (build_ref b)
   | Not a -> R.not_ (build_ref a)
 
+(* Every assignment of the [oracle_lits] condition literals, as bit
+   patterns: cheap enough to enumerate exhaustively at 12 literals. *)
+let lit_assignments =
+  List.init (1 lsl oracle_lits) (fun bits -> function
+    | Pqs.Cond i -> (bits lsr i) land 1 = 1
+    | Pqs.Entry _ -> false)
+
+let engines_agree (x, y) =
+  let a = build_hc x and b = build_hc y in
+  let ra = build_ref x and rb = build_ref y in
+  Pqs.to_reference a = ra
+  && Pqs.to_reference b = rb
+  && Pqs.disjoint a b = R.disjoint ra rb
+  && Pqs.implies a b = R.implies ra rb
+  && Format.asprintf "%a" Pqs.pp a = Format.asprintf "%a" R.pp ra
+  && List.for_all
+       (fun assign -> Pqs.eval assign a = R.eval assign ra)
+       lit_assignments
+
+let gen_ast_pair = QCheck2.Gen.(pair gen_ast gen_ast)
+
 let prop_engines_agree =
   QCheck2.Test.make ~name:"hash-consed engine agrees with reference"
-    ~count:500
-    QCheck2.Gen.(pair gen_ast gen_ast)
+    ~count:500 gen_ast_pair engines_agree
+
+(* The property above only pins the algebra where its generator goes:
+   on a fixed-seed batch of the same size, require that products reach
+   tens of conjunctions and that some cross [max_conjs] into [Unknown]
+   without an [Unknown] leaf. *)
+let oracle_batch_reaches_cap () =
+  let rec has_u = function
+    | U -> true
+    | T | F | L _ -> false
+    | And (a, b) | Or (a, b) -> has_u a || has_u b
+    | Not a -> has_u a
+  in
+  let batch =
+    QCheck2.Gen.generate ~rand:(Random.State.make [| 15 |]) ~n:500
+      gen_ast_pair
+  in
+  let large = ref 0 and capped = ref 0 in
+  List.iter
     (fun (x, y) ->
-      let a = build_hc x and b = build_hc y in
-      let ra = build_ref x and rb = build_ref y in
-      Pqs.to_reference a = ra
-      && Pqs.to_reference b = rb
-      && Pqs.disjoint a b = R.disjoint ra rb
-      && Pqs.implies a b = R.implies ra rb
-      && Format.asprintf "%a" Pqs.pp a = Format.asprintf "%a" R.pp ra
-      && List.for_all
-           (fun assign -> Pqs.eval assign a = R.eval assign ra)
-           (all_assignments (Pqs.keys a)))
+      if not (engines_agree (x, y)) then
+        Alcotest.fail "hash-consed engine diverged from reference";
+      List.iter
+        (fun e ->
+          match Pqs.to_reference (build_hc e) with
+          | R.Dnf cs when List.length cs >= 20 -> incr large
+          | R.Unknown when not (has_u e) -> incr capped
+          | R.Dnf _ | R.Unknown -> ())
+        [ x; y ])
+    batch;
+  checkb
+    (Printf.sprintf "%d products reach tens of conjunctions" !large)
+    true (!large >= 10);
+  checkb (Printf.sprintf "%d products cross max_conjs" !capped) true
+    (!capped >= 3)
 
 (* Real programs: run [Pred_env] under both engines over every workload
    and a batch of fuzz programs (raw and ICBM-transformed), and require
@@ -294,6 +376,75 @@ let engines_agree_on_programs () =
            (W.Gen.inputs_of_seed seed))
   done
 
+(* The liveness scan's hot chain, replayed at the scale-large benchmark
+   size: on FRP-converted, speculated 32-block regions, every
+   [and_ path (not_ taken_j)] chain from every start index must build
+   structurally equal nodes under both engines. *)
+let scale_shape =
+  {
+    W.Gen.blocks = 32;
+    ops_per_block = 5;
+    loop = true;
+    stores = true;
+    loads = true;
+    fp = false;
+    exit_stubs = 3;
+  }
+
+let path_chains_agree () =
+  Pqs.invalidate ();
+  for seed = 0 to 2 do
+    let prog = W.Gen.prog_of ~shape:scale_shape seed in
+    List.iter
+      (fun (r : Cpr_ir.Region.t) ->
+        if Cpr_core.Frp.convert_region prog r then begin
+          let (_ : Cpr_core.Spec.stats) =
+            Cpr_core.Spec.speculate_region prog r
+          in
+          let ep = Cpr_analysis.Pred_env.analyze r in
+          let er = RefEnv.analyze r in
+          let ops = Cpr_analysis.Pred_env.ops ep in
+          let n = Array.length ops in
+          let branches =
+            List.filter
+              (fun j -> Cpr_ir.Op.is_branch ops.(j))
+              (List.init n Fun.id)
+          in
+          (* A chain depends only on the branches it crosses, so the
+             reference replays each suffix of [branches] once. *)
+          let expected = Hashtbl.create 64 in
+          let reference_chain bs =
+            match Hashtbl.find_opt expected bs with
+            | Some chain -> chain
+            | None ->
+              let path = ref R.tru in
+              let chain =
+                List.map
+                  (fun j ->
+                    path := R.and_ !path (R.not_ (RefEnv.taken_expr er j));
+                    !path)
+                  bs
+              in
+              Hashtbl.replace expected bs chain;
+              chain
+          in
+          for start = 0 to n - 1 do
+            let bs = List.filter (fun j -> j >= start) branches in
+            let path = ref Pqs.tru in
+            List.iter2
+              (fun j path_r ->
+                path :=
+                  Pqs.and_ !path
+                    (Pqs.not_ (Cpr_analysis.Pred_env.taken_expr ep j));
+                if Pqs.to_reference !path <> path_r then
+                  Alcotest.failf "gen-%d/%s: chain %d..%d diverged" seed
+                    r.Cpr_ir.Region.label start j)
+              bs (reference_chain bs)
+          done
+        end)
+      (Cpr_ir.Prog.regions prog)
+  done
+
 let suite =
   ( "pqs",
     [
@@ -304,6 +455,8 @@ let suite =
       case "entry literals" entry_literals;
       case "hash-consing" hash_consing;
       case "engines agree on programs" engines_agree_on_programs;
+      case "oracle batch reaches the cap" oracle_batch_reaches_cap;
+      case "path chains agree at scale" path_chains_agree;
       QCheck_alcotest.to_alcotest prop_disjoint_sound;
       QCheck_alcotest.to_alcotest prop_implies_sound;
       QCheck_alcotest.to_alcotest prop_eval_homomorphic;
