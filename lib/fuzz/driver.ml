@@ -35,70 +35,82 @@ let inputs_for check seed =
   @ List.init check.extra_inputs (fun k ->
         W.Gen.input_of_seed seed ~seed:(seed + ((k + 5) * 101)))
 
+(* The reference's own runs, one per input: made once, they are the
+   reference side of the equivalence oracle. *)
 let reference_ok prog inputs =
   match Validate.check prog with
   | e :: _ ->
     Error (Format.asprintf "reference invalid: %a" Validate.pp_error e)
   | [] -> (
-    match
-      List.iter
-        (fun input ->
-          ignore (Cpr_sim.Equiv.run_on prog input : Cpr_sim.Interp.outcome))
-        inputs
-    with
-    | () -> Ok ()
+    match List.map (Cpr_sim.Equiv.run_on prog) inputs with
+    | outcomes -> Ok outcomes
     | exception Cpr_sim.Interp.Stuck msg -> Error ("reference stuck: " ^ msg))
 
+(* {!Cpr_sim.Equiv.check_many} against the reference runs already made:
+   only the candidate is interpreted, input by input, stopping at the
+   first difference.  The candidate's runs are the VLIW oracle's
+   reference. *)
+let candidate_runs prog ref_outs candidate inputs =
+  List.fold_left2
+    (fun acc input ref_out ->
+      Result.bind acc (fun outs ->
+          match Cpr_sim.Equiv.run_on candidate input with
+          | exception Cpr_sim.Interp.Stuck msg ->
+            Error ("interpreter stuck: " ^ msg)
+          | out ->
+            Result.map
+              (fun () -> out :: outs)
+              (Cpr_sim.Equiv.compare_outcomes prog ref_out out)))
+    (Ok []) inputs ref_outs
+  |> Result.map List.rev
+
+(* Each result is built once and handed to every oracle that needs it:
+   the reference runs to equivalence, the candidate runs to the VLIW
+   check, and (under [verify]) one [prepare] to both the stage and the
+   verifier.  Superblock formation is [prepare] itself, so that stage is
+   verified against the raw program instead. *)
 let run_prog check (stage : Stage.t) prog inputs =
   match reference_ok prog inputs with
   | Error msg -> Skip msg
-  | Ok () -> (
-    match stage.Stage.apply prog inputs with
+  | Ok ref_outs -> (
+    match
+      let prepared =
+        if check.verify && stage.Stage.name <> "superblock" then
+          Some (Cpr_pipeline.Passes.prepare prog inputs)
+        else None
+      in
+      (prepared, stage.Stage.apply ?prepared prog inputs)
+    with
     | exception e -> Fail ("transform raised: " ^ Printexc.to_string e)
-    | candidate -> (
+    | prepared, candidate -> (
       Fault.inject_opt check.fault candidate;
       match Validate.check candidate with
       | e :: _ -> Fail (Format.asprintf "validation: %a" Validate.pp_error e)
       | [] -> (
-        match
-          if not check.verify then Ok ()
-          else begin
-            (* Pre-simulation oracle: the static verifier alone, against
-               the same pre-transformation program the stage started
-               from ([prepare] is deterministic, so recomputing it here
-               reproduces the stage's input exactly). *)
+        let findings =
+          if not check.verify then []
+          else
             let before =
-              if stage.Stage.name = "superblock" then Prog.copy prog
-              else Cpr_pipeline.Passes.prepare prog inputs
+              match prepared with Some p -> p | None -> Prog.copy prog
             in
-            match
-              Cpr_verify.Verify.errors
-                (Cpr_verify.Verify.check_stage ~stage:stage.Stage.name
-                   ~before candidate)
-            with
-            | [] -> Ok ()
-            | f :: _ ->
-              Error (Format.asprintf "verify: %a" Cpr_verify.Finding.pp f)
-          end
-        with
-        | Error e -> Fail e
-        | Ok () -> (
-        match Cpr_sim.Equiv.check_many prog candidate inputs with
-        | Error e -> Fail ("equivalence: " ^ e)
-        | exception Cpr_sim.Interp.Stuck msg ->
-          Fail ("candidate stuck: " ^ msg)
-        | Ok () ->
-          if not check.vliw then Pass
-          else (
-            match
-              Cpr_sim.Vliw.check_against_interp Cpr_machine.Descr.medium
-                candidate inputs
-            with
-            | Ok () -> Pass
-            | Error e -> Fail ("vliw: " ^ e)
-            | exception Cpr_sim.Vliw.Vliw_error msg -> Fail ("vliw: " ^ msg)
-            | exception Cpr_sim.Interp.Stuck msg ->
-              Fail ("vliw interp: " ^ msg))))))
+            Cpr_verify.Verify.errors
+              (Cpr_verify.Verify.check_stage ~stage:stage.Stage.name ~before
+                 candidate)
+        in
+        match findings with
+        | f :: _ -> Fail (Format.asprintf "verify: %a" Cpr_verify.Finding.pp f)
+        | [] -> (
+          match candidate_runs prog ref_outs candidate inputs with
+          | Error e -> Fail ("equivalence: " ^ e)
+          | Ok cand_outs -> (
+            if not check.vliw then Pass
+            else
+              match
+                Cpr_sim.Vliw.check_outcomes Cpr_machine.Descr.medium candidate
+                  inputs cand_outs
+              with
+              | Ok () -> Pass
+              | Error e -> Fail ("vliw: " ^ e))))))
 
 let run_stage check stage ~seed =
   let outcome =

@@ -7,8 +7,17 @@ open Cpr_ir
     checks the transformed code against the raw program with two
     oracles: architectural equivalence on a battery of seeded inputs
     ({!Cpr_sim.Equiv}), and scheduled-VLIW execution agreement on the
-    medium machine ({!Cpr_sim.Vliw.check_against_interp}).  Everything
-    is a deterministic function of the seed and the configuration. *)
+    medium machine ({!Cpr_sim.Vliw.check_outcomes}).  Everything is a
+    deterministic function of the seed and the configuration.
+
+    Within one {!run_prog}, each result is built once and handed to
+    every oracle that needs it: the reference is interpreted once per
+    input and those runs are equivalence's reference side; the
+    candidate is interpreted once per input (after fault injection) and
+    those runs are the VLIW check's reference; the VLIW check schedules
+    the candidate once for all inputs; and under [verify] the program
+    is prepared once, for both the stage and the verifier.  Every oracle
+    still stops at its first failing input. *)
 
 type check = {
   vliw : bool;  (** also require scheduled-VLIW / interpreter agreement *)

@@ -4,7 +4,7 @@ module P = Cpr_pipeline
 type t = {
   name : string;
   descr : string;
-  apply : Prog.t -> Cpr_sim.Equiv.input list -> Prog.t;
+  apply : ?prepared:Prog.t -> Prog.t -> Cpr_sim.Equiv.input list -> Prog.t;
 }
 
 (* The driver verifies candidates itself (when asked to), with the
@@ -15,15 +15,19 @@ let of_pass (st : P.Passes.stage) =
     name = st.P.Passes.name;
     descr = st.P.Passes.descr;
     apply =
-      (fun prog inputs ->
-        (P.Passes.run ~verify:false st prog inputs).P.Passes.prog);
+      (fun ?prepared prog inputs ->
+        (P.Passes.run ~verify:false ?prepared st prog inputs).P.Passes.prog);
   }
 
 (* The end-to-end combination: if-conversion and unrolling upstream of
    ICBM, the way a production pipeline would compose them, each step
    the stage table's own transform. *)
-let full_pipeline prog inputs =
-  let p = P.Passes.prepare prog inputs in
+let full_pipeline ?prepared prog inputs =
+  let p =
+    match prepared with
+    | Some p -> Prog.copy p
+    | None -> P.Passes.prepare prog inputs
+  in
   let step name =
     let st = Option.get (P.Passes.find_stage name) in
     ignore (st.P.Passes.transform Cpr_core.Heur.default p : _ option)

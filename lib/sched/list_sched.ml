@@ -99,8 +99,7 @@ let schedule_reference machine prog liveness (region : Region.t) =
    release buckets are skipped in O(log buckets) instead of burning a
    rescan per cycle, with fuel charged for the skipped cycles so the
    no-progress failure mode is unchanged. *)
-let schedule machine prog liveness (region : Region.t) =
-  let graph = Depgraph.build machine prog liveness region in
+let schedule_graph machine (region : Region.t) graph =
   let n = Depgraph.n_ops graph in
   let ops = Array.init n (Depgraph.op graph) in
   let priority = Cpr_analysis.Height.priority graph in
@@ -177,6 +176,9 @@ let schedule machine prog liveness (region : Region.t) =
       (Printf.sprintf "List_sched: no progress in region %s"
          region.Region.label);
   finish machine region ops cycle
+
+let schedule machine prog liveness region =
+  schedule_graph machine region (Depgraph.build machine prog liveness region)
 
 let schedule_prog ?pool ?budget_ms machine prog =
   let liveness = Cpr_analysis.Liveness.analyze prog in

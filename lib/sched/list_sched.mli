@@ -14,7 +14,14 @@ val schedule :
   -> Schedule.t
 (** Ready-queue implementation: per-op unplaced-predecessor counters and
     cycle-keyed release buckets replace the full rescan of the reference
-    scheduler, preserving its greedy policy (and output) exactly. *)
+    scheduler, preserving its greedy policy (and output) exactly.
+    {!Cpr_analysis.Depgraph.build} followed by {!schedule_graph}. *)
+
+val schedule_graph :
+  Cpr_machine.Descr.t -> Region.t -> Cpr_analysis.Depgraph.t -> Schedule.t
+(** {!schedule} on a dependence graph the caller already built for this
+    region and machine, for callers that also read the graph (the
+    schedule and height checkers) and would otherwise build it twice. *)
 
 val schedule_reference :
   Cpr_machine.Descr.t -> Prog.t -> Cpr_analysis.Liveness.t -> Region.t

@@ -105,44 +105,58 @@ let issue machine st (op : Op.t) =
   | _ -> ());
   (List.rev !writes, lat, !redirect)
 
-let run ?state ?(max_cycles = 10_000_000) machine (prog : Prog.t) =
-  let st = match state with Some s -> s | None -> State.create () in
-  let schedules = Cpr_sched.List_sched.schedule_prog machine prog in
-  (* per-region: cycle -> ops issued that cycle, in program order *)
-  let buckets = Hashtbl.create 17 in
+(* One region's schedule laid out for execution: the ops issued in each
+   cycle, in program order.  Every latency is at least one cycle, so
+   every op issues before [length]. *)
+type region_code = {
+  length : int;
+  by_cycle : Op.t list array;
+  fallthrough : string option;
+}
+
+let lay_out (s : Schedule.t) =
+  let by_cycle = Array.make s.Schedule.length [] in
+  for i = Array.length s.Schedule.ops - 1 downto 0 do
+    let c = s.Schedule.cycle.(i) in
+    by_cycle.(c) <- s.Schedule.ops.(i) :: by_cycle.(c)
+  done;
+  {
+    length = s.Schedule.length;
+    by_cycle;
+    fallthrough = s.Schedule.region.Region.fallthrough;
+  }
+
+(* The first step: schedule every region once. *)
+let compile machine prog =
+  let code = Hashtbl.create 17 in
   List.iter
-    (fun (label, (s : Schedule.t)) ->
-      let by_cycle = Hashtbl.create 17 in
-      Array.iteri
-        (fun i op ->
-          let c = s.Schedule.cycle.(i) in
-          Hashtbl.replace by_cycle c
-            (Option.value ~default:[] (Hashtbl.find_opt by_cycle c) @ [ op ]))
-        s.Schedule.ops;
-      Hashtbl.replace buckets label (s.Schedule.length, by_cycle))
-    schedules;
+    (fun (label, s) -> Hashtbl.replace code label (lay_out s))
+    (Cpr_sched.List_sched.schedule_prog machine prog);
+  code
+
+(* The second step: execute the laid-out schedules from [st]. *)
+let execute ?(max_cycles = 10_000_000) machine prog code st =
   let total_cycles = ref 0 in
   let entries = ref 0 in
   let rec run_region label =
     if Prog.is_exit prog label then Some label
     else
-      match Hashtbl.find_opt buckets label with
+      match Hashtbl.find_opt code label with
       | None -> raise (Vliw_error ("no schedule for " ^ label))
-      | Some (length, by_cycle) ->
+      | Some { length; by_cycle; fallthrough } ->
         incr entries;
-        let pending : (int, pending list) Hashtbl.t = Hashtbl.create 17 in
+        (* cycle -> batches of writes landing then, newest batch first;
+           a write issued at [c] lands at [c + latency <= length] *)
+        let pending = Array.make (length + 1) [] in
         let redirect = ref None (* (cycle, target) *) in
         let land_writes c =
-          List.iter (apply st)
-            (Option.value ~default:[] (Hashtbl.find_opt pending c));
-          Hashtbl.remove pending c
+          List.iter (List.iter (apply st)) (List.rev pending.(c));
+          pending.(c) <- []
         in
         let flush_all () =
-          let cs =
-            Hashtbl.fold (fun c _ acc -> c :: acc) pending []
-            |> List.sort Int.compare
-          in
-          List.iter land_writes cs
+          for c = 0 to length do
+            land_writes c
+          done
         in
         let result = ref None in
         let c = ref 0 in
@@ -159,7 +173,7 @@ let run ?state ?(max_cycles = 10_000_000) machine (prog : Prog.t) =
               flush_all ();
               result :=
                 Some
-                  (match (Prog.find_exn prog label).Region.fallthrough with
+                  (match fallthrough with
                   | Some next -> `Goto next
                   | None -> `Halt)
             end
@@ -168,10 +182,7 @@ let run ?state ?(max_cycles = 10_000_000) machine (prog : Prog.t) =
                 (fun op ->
                   let writes, lat, br = issue machine st op in
                   if writes <> [] then
-                    Hashtbl.replace pending (!c + lat)
-                      (Option.value ~default:[]
-                         (Hashtbl.find_opt pending (!c + lat))
-                      @ writes);
+                    pending.(!c + lat) <- writes :: pending.(!c + lat);
                   match br with
                   | Some target -> (
                     match !redirect with
@@ -180,7 +191,7 @@ let run ?state ?(max_cycles = 10_000_000) machine (prog : Prog.t) =
                     | Some (rc, _) when rc < !c + lat -> ()
                     | _ -> redirect := Some (!c + lat, target))
                   | None -> ())
-                (Option.value ~default:[] (Hashtbl.find_opt by_cycle !c));
+                by_cycle.(!c);
               incr total_cycles;
               incr c
             end)
@@ -198,22 +209,46 @@ let run ?state ?(max_cycles = 10_000_000) machine (prog : Prog.t) =
     region_entries = !entries;
   }
 
+let run ?state ?max_cycles machine prog =
+  let st = match state with Some s -> s | None -> State.create () in
+  execute ?max_cycles machine prog (compile machine prog) st
+
+(* One input: execute the (lazily built, shared) schedules and compare
+   with the interpreter's run of the same program on that input.
+   {!Equiv.compare_outcomes} reads only the exit label and the final
+   state, so the interpreter-only counters are left at zero. *)
+let check_one machine prog code input (reference : Interp.outcome) =
+  match
+    execute machine prog (Lazy.force code) (Equiv.initial_state input)
+  with
+  | exception Vliw_error m -> Error ("vliw error: " ^ m)
+  | vl ->
+    Equiv.compare_outcomes prog reference
+      {
+        Interp.state = vl.state;
+        exit_label = vl.exit_label;
+        ops_executed = 0;
+        ops_issued = 0;
+        branches_executed = 0;
+        steps = 0;
+      }
+
+let check_outcomes machine prog inputs outcomes =
+  let code = lazy (compile machine prog) in
+  List.fold_left2
+    (fun acc input reference ->
+      match acc with
+      | Error _ -> acc
+      | Ok () -> check_one machine prog code input reference)
+    (Ok ()) inputs outcomes
+
+(* Input by input: a later input is not interpreted once an earlier one
+   has failed. *)
 let check_against_interp machine prog inputs =
-  let fail fmt = Format.kasprintf (fun m -> Error m) fmt in
+  let code = lazy (compile machine prog) in
   List.fold_left
     (fun acc input ->
       match acc with
       | Error _ -> acc
-      | Ok () -> (
-        let reference = Equiv.run_on prog input in
-        match run ~state:(Equiv.initial_state input) machine prog with
-        | exception Vliw_error m -> fail "vliw error: %s" m
-        | vl ->
-          if reference.Interp.exit_label <> vl.exit_label then
-            fail "exit labels differ: %s vs %s"
-              (Option.value ~default:"<end>" reference.Interp.exit_label)
-              (Option.value ~default:"<end>" vl.exit_label)
-          else if not (State.same_memory reference.Interp.state vl.state)
-          then fail "memories differ"
-          else Ok ()))
+      | Ok () -> check_one machine prog code input (Equiv.run_on prog input))
     (Ok ()) inputs

@@ -18,7 +18,7 @@ type row = {
 let region_row machine prog live (r : Region.t) =
   let dg = Depgraph.build machine prog live r in
   let s = Height.summarize machine dg in
-  let sched = List_sched.schedule machine prog live r in
+  let sched = List_sched.schedule_graph machine r dg in
   {
     region = r.Region.label;
     n_ops = List.length r.Region.ops;
@@ -46,7 +46,7 @@ let cold_branch (r : Region.t) (op : Op.t) =
 let check_region machine ~factor ~missed ~stats prog live (r : Region.t) =
   let dg = Depgraph.build machine prog live r in
   let s = Height.summarize machine dg in
-  let sched = List_sched.schedule machine prog live r in
+  let sched = List_sched.schedule_graph machine r dg in
   let achieved = sched.Cpr_sched.Schedule.length in
   let findings = ref [] in
   if achieved < s.Height.bound then

@@ -27,7 +27,7 @@ let acc_class (op : Op.t) (d : Reg.t) =
 
 let check_region machine prog live ~stats (r : Region.t) =
   let dg = Depgraph.build machine prog live r in
-  let sched = List_sched.schedule machine prog live r in
+  let sched = List_sched.schedule_graph machine r dg in
   let findings = ref [] in
   List.iter
     (fun v ->

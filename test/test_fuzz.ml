@@ -97,6 +97,100 @@ let seed_52_fullpipe () =
   | F.Driver.Fail r -> Alcotest.failf "seed 52 regressed: %s" r
   | F.Driver.Skip r -> Alcotest.failf "seed 52 reference broke: %s" r
 
+(* The driver's oracle sequence before it shared its runs: the reference
+   interpreted and discarded, the stage preparing for itself, the
+   verifier against a second [prepare], [check_many] re-running the
+   reference, and the VLIW check re-interpreting the candidate.  Kept
+   here as the oracle for [Driver.run_prog], which must give the same
+   verdicts. *)
+let run_prog_unshared (check_ : F.Driver.check) (stage : F.Stage.t) prog
+    inputs =
+  let module Sim = Cpr_sim in
+  match Validate.check prog with
+  | e :: _ ->
+    F.Driver.Skip (Format.asprintf "reference invalid: %a" Validate.pp_error e)
+  | [] -> (
+    match
+      List.iter
+        (fun input -> ignore (Sim.Equiv.run_on prog input : Sim.Interp.outcome))
+        inputs
+    with
+    | exception Sim.Interp.Stuck msg ->
+      F.Driver.Skip ("reference stuck: " ^ msg)
+    | () -> (
+      match stage.F.Stage.apply prog inputs with
+      | exception e ->
+        F.Driver.Fail ("transform raised: " ^ Printexc.to_string e)
+      | candidate -> (
+        F.Fault.inject_opt check_.F.Driver.fault candidate;
+        match Validate.check candidate with
+        | e :: _ ->
+          F.Driver.Fail (Format.asprintf "validation: %a" Validate.pp_error e)
+        | [] -> (
+          let findings =
+            if not check_.F.Driver.verify then []
+            else
+              let before =
+                if stage.F.Stage.name = "superblock" then Prog.copy prog
+                else Cpr_pipeline.Passes.prepare prog inputs
+              in
+              Cpr_verify.Verify.errors
+                (Cpr_verify.Verify.check_stage ~stage:stage.F.Stage.name
+                   ~before candidate)
+          in
+          match findings with
+          | f :: _ ->
+            F.Driver.Fail (Format.asprintf "verify: %a" Cpr_verify.Finding.pp f)
+          | [] -> (
+            match Sim.Equiv.check_many prog candidate inputs with
+            | Error e -> F.Driver.Fail ("equivalence: " ^ e)
+            | Ok () ->
+              if not check_.F.Driver.vliw then F.Driver.Pass
+              else (
+                match
+                  Sim.Vliw.check_against_interp Cpr_machine.Descr.medium
+                    candidate inputs
+                with
+                | Ok () -> F.Driver.Pass
+                | Error e -> F.Driver.Fail ("vliw: " ^ e)))))))
+
+let verdict = function
+  | F.Driver.Pass -> "pass"
+  | F.Driver.Fail r -> "fail: " ^ r
+  | F.Driver.Skip r -> "skip: " ^ r
+
+(* Seeds 0..150, every stage, with and without each fault, with and
+   without the static verifier: sharing runs and [prepare] changes no
+   verdict, failures included. *)
+let shared_runs_same_verdicts () =
+  let fails = ref 0 in
+  List.iter
+    (fun verify ->
+      List.iter
+        (fun fault ->
+          let check_ = { F.Driver.default_check with F.Driver.fault; verify } in
+          for seed = 0 to 150 do
+            let prog = W.Gen.prog_of_seed seed in
+            let inputs = F.Driver.inputs_for check_ seed in
+            List.iter
+              (fun (stage : F.Stage.t) ->
+                let expected =
+                  verdict (run_prog_unshared check_ stage prog inputs)
+                in
+                if expected <> "pass" then incr fails;
+                check Alcotest.string
+                  (Printf.sprintf "seed %d %s fault %s verify %b" seed
+                     stage.F.Stage.name
+                     (Option.fold ~none:"none" ~some:F.Fault.name fault)
+                     verify)
+                  expected
+                  (verdict (F.Driver.run_prog check_ stage prog inputs)))
+              F.Stage.all
+          done)
+        (None :: List.map Option.some F.Fault.all))
+    [ false; true ];
+  checkb "the faults produce failures" true (!fails > 0)
+
 let suite =
   ( "fuzz",
     [
@@ -105,4 +199,5 @@ let suite =
       case "determinism" determinism;
       case "faults are caught" faults_are_caught;
       case "seed 52 fullpipe regression" seed_52_fullpipe;
+      case "shared runs give the unshared verdicts" shared_runs_same_verdicts;
     ] )

@@ -147,6 +147,47 @@ let oracle_on_fuzz_programs () =
       M.all
   done
 
+(* Scheduling a graph the caller built is [schedule] itself, and it
+   leaves the graph reusable: scheduling the same graph twice gives the
+   same cycles.  Raw and height-reduced code of every workload, on every
+   machine. *)
+let schedule_graph_matches_schedule () =
+  List.iter
+    (fun (w : Cpr_workloads.Workload.t) ->
+      let raw = w.Cpr_workloads.Workload.build () in
+      let reduced =
+        (Cpr_pipeline.Passes.height_reduce ~verify:false raw
+           (w.Cpr_workloads.Workload.inputs ()))
+          .Cpr_pipeline.Passes.prog
+      in
+      List.iter
+        (fun (kind, prog) ->
+          let l = A.Liveness.analyze prog in
+          List.iter
+            (fun m ->
+              List.iter
+                (fun (r : Region.t) ->
+                  let where =
+                    Printf.sprintf "%s/%s/%s/%s" w.Cpr_workloads.Workload.name
+                      kind m.M.name r.Region.label
+                  in
+                  let s = S.List_sched.schedule m prog l r in
+                  let dg = A.Depgraph.build m prog l r in
+                  List.iter
+                    (fun pass ->
+                      let g = S.List_sched.schedule_graph m r dg in
+                      checki (where ^ pass ^ " length") s.S.Schedule.length
+                        g.S.Schedule.length;
+                      check
+                        Alcotest.(array int)
+                        (where ^ pass ^ " cycles") s.S.Schedule.cycle
+                        g.S.Schedule.cycle)
+                    [ " (first)"; " (graph reused)" ])
+                (Prog.regions prog))
+            M.all)
+        [ ("raw", raw); ("reduced", reduced) ])
+    Cpr_workloads.Registry.all
+
 let suite =
   ( "scheduler",
     [
@@ -160,5 +201,7 @@ let suite =
       case "ready-queue = reference on all workloads" oracle_on_workloads;
       case "ready-queue = reference on 200 fuzz programs"
         oracle_on_fuzz_programs;
+      case "schedule_graph = schedule on all workloads"
+        schedule_graph_matches_schedule;
       QCheck_alcotest.to_alcotest prop_schedules_valid;
     ] )

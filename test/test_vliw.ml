@@ -93,6 +93,67 @@ let prop_vliw_matches_after_cpr =
           = Ok ())
         [ M.medium; M.wide ])
 
+(* The height-reduced code of every workload, with the interpreter runs
+   of its last profile (one per training input). *)
+let reduced_workloads () =
+  List.map
+    (fun (w : Cpr_workloads.Workload.t) ->
+      let inputs = w.Cpr_workloads.Workload.inputs () in
+      let c =
+        Cpr_pipeline.Passes.height_reduce ~verify:false
+          (w.Cpr_workloads.Workload.build ())
+          inputs
+      in
+      ( w.Cpr_workloads.Workload.name,
+        c.Cpr_pipeline.Passes.prog,
+        inputs,
+        Option.get c.Cpr_pipeline.Passes.outcomes ))
+    Cpr_workloads.Registry.all
+
+let verdict = function Ok () -> "ok" | Error e -> "error: " ^ e
+
+(* Given the program's own runs, [check_outcomes] is
+   [check_against_interp] without the interpreter. *)
+let check_outcomes_matches_interp () =
+  List.iter
+    (fun (name, prog, inputs, outs) ->
+      List.iter
+        (fun m ->
+          check Alcotest.string
+            (Printf.sprintf "%s/%s" name m.M.name)
+            (verdict (Sim.Vliw.check_against_interp m prog inputs))
+            (verdict (Sim.Vliw.check_outcomes m prog inputs outs)))
+        M.all)
+    (reduced_workloads ())
+
+(* Handed the runs of a miscompiled copy, [check_outcomes] must reject
+   them whenever they differ observably from the program's own runs. *)
+let check_outcomes_rejects_faulty_runs () =
+  let observable = ref 0 in
+  List.iter
+    (fun (name, prog, inputs, outs) ->
+      List.iter
+        (fun fault ->
+          let faulty = Prog.copy prog in
+          Cpr_fuzz.Fault.inject fault faulty;
+          match List.map (Sim.Equiv.run_on faulty) inputs with
+          | exception Sim.Interp.Stuck _ -> ()
+          | faulty_outs ->
+            if Sim.Equiv.check_outcomes prog outs faulty_outs <> Ok ()
+            then begin
+              incr observable;
+              checkb
+                (Printf.sprintf "%s/%s rejected" name
+                   (Cpr_fuzz.Fault.name fault))
+                true
+                (Result.is_error
+                   (Sim.Vliw.check_outcomes M.medium prog inputs faulty_outs))
+            end)
+        Cpr_fuzz.Fault.all)
+    (reduced_workloads ());
+  (* 60 of the 72 workload x fault pairs are observable today. *)
+  checkb "most faults are observable" true (!observable >= 48)
+
 let suite =
   ( "vliw executor",
     [
@@ -101,6 +162,10 @@ let suite =
       case "latency visibility" latency_visibility;
       case "cycles scale with machine" cycle_counts_scale_with_machine;
       case "exit-aware estimator = executed cycles" exit_aware_estimator_matches_vliw;
+      case "check_outcomes = check_against_interp on all workloads"
+        check_outcomes_matches_interp;
+      case "check_outcomes rejects a miscompile's runs"
+        check_outcomes_rejects_faulty_runs;
       QCheck_alcotest.to_alcotest prop_vliw_matches_interp;
       QCheck_alcotest.to_alcotest prop_vliw_matches_after_cpr;
     ] )
